@@ -35,7 +35,8 @@ Checks, mirroring what the bench itself promises:
   ``min_dispatch_core`` (default 1.3x) on the skewed cell mix --
   within-run, like the cluster-rate floor -- whenever the record shows
   at least two effective workers (a single-core runner serialises both
-  arms, so the ratio measures nothing there and only the identity
+  arms, so the ratio measures nothing there: the gate prints a
+  ``SKIPPED`` line naming the worker count and only the identity
   checks apply); the static and core arms' merged reports, and the
   sharded 1,000-node sweep's merged reports across every executor
   transport and pool size, must be byte-identical unconditionally;
@@ -78,6 +79,49 @@ def normalised_serial_wall(record: dict) -> float:
     if duration_us <= 0:
         raise ValueError(f"bad duration_us in bench record: {duration_us}")
     return float(sweep["serial_wall_s"]) / duration_us
+
+
+def check_dispatch_core(dc: dict, min_dispatch_core: float) -> list[str]:
+    """The dispatch-core section's speedup gate and identity checks."""
+    failures = []
+    mix = dc["skewed_mix"]
+    workers = int(dc.get("effective_workers", 1))
+    speedup = mix.get("speedup") or 0.0
+    print(
+        f"dispatch core ({workers} workers, {mix['n_cheap']} short + "
+        f"1 long cell): static {mix['static_wall_s']:.2f}s, core "
+        f"{mix['core_wall_s']:.2f}s, speedup {speedup:.2f}x "
+        f"(floor {min_dispatch_core:.2f}x at >= 2 workers); "
+        f"mix identical={mix['identical_merged_results']}, sharded "
+        f"identical={dc['sharded_sweep']['identical_merged_results']}"
+    )
+    # within-run floor, like the cluster-rate gate -- but only
+    # meaningful with real concurrency: one core serialises both
+    # arms and the ratio measures the OS, not the dispatch policy.
+    if workers < 2:
+        print(
+            f"SKIPPED: dispatch-core speedup gate (floor "
+            f"{min_dispatch_core:.2f}x) needs >= 2 effective workers; "
+            f"this record ran {workers}"
+        )
+    elif speedup < min_dispatch_core:
+        failures.append(
+            f"dispatch core is only {speedup:.2f}x the static pool "
+            f"on the skewed mix at {workers} workers (floor "
+            f"{min_dispatch_core:.2f}x): the LPT ready queue "
+            f"regressed"
+        )
+    if not mix["identical_merged_results"]:
+        failures.append(
+            "static-pool and dispatch-core merged results differ: "
+            "the dispatch core changed experiment output"
+        )
+    if not dc["sharded_sweep"]["identical_merged_results"]:
+        failures.append(
+            "sharded 1,000-node sweep merged results differ across "
+            "executors/pool sizes: a transport leaked into results"
+        )
+    return failures
 
 
 def check(current: dict, baseline: dict, max_ratio: float,
@@ -238,37 +282,7 @@ def check(current: dict, baseline: dict, max_ratio: float,
             "--no-dispatch)"
         )
     else:
-        mix = dc["skewed_mix"]
-        workers = int(dc.get("effective_workers", 1))
-        speedup = mix.get("speedup") or 0.0
-        print(
-            f"dispatch core ({workers} workers, {mix['n_cheap']} short + "
-            f"1 long cell): static {mix['static_wall_s']:.2f}s, core "
-            f"{mix['core_wall_s']:.2f}s, speedup {speedup:.2f}x "
-            f"(floor {min_dispatch_core:.2f}x at >= 2 workers); "
-            f"mix identical={mix['identical_merged_results']}, sharded "
-            f"identical={dc['sharded_sweep']['identical_merged_results']}"
-        )
-        # within-run floor, like the cluster-rate gate -- but only
-        # meaningful with real concurrency: one core serialises both
-        # arms and the ratio measures the OS, not the dispatch policy.
-        if workers >= 2 and speedup < min_dispatch_core:
-            failures.append(
-                f"dispatch core is only {speedup:.2f}x the static pool "
-                f"on the skewed mix at {workers} workers (floor "
-                f"{min_dispatch_core:.2f}x): the LPT ready queue "
-                f"regressed"
-            )
-        if not mix["identical_merged_results"]:
-            failures.append(
-                "static-pool and dispatch-core merged results differ: "
-                "the dispatch core changed experiment output"
-            )
-        if not dc["sharded_sweep"]["identical_merged_results"]:
-            failures.append(
-                "sharded 1,000-node sweep merged results differ across "
-                "executors/pool sizes: a transport leaked into results"
-            )
+        failures += check_dispatch_core(dc, min_dispatch_core)
 
     fo = current.get("fault_overhead")
     if fo is None:

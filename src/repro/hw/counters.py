@@ -81,7 +81,7 @@ class CounterSnapshot:
 class CounterEngine:
     """Accumulates event counts for every logical CPU of a server."""
 
-    #: indices into the per-lcpu slow-noise state (one per noisy event).
+    #: the noisy events, in the order account_mem() draws their noise.
     _NOISE_SMA, _NOISE_CMA, _NOISE_SL3, _NOISE_CL3 = range(4)
 
     def __init__(
@@ -110,9 +110,23 @@ class CounterEngine:
                 f"{(n_lcpus, len(codes))}, got {values.shape}"
             )
         self._values = values
-        # time-correlated noise: current factor + expiry per lcpu per event
-        self._noise = np.ones((n_lcpus, 4), dtype=np.float64)
-        self._noise_until = np.zeros((n_lcpus, 4), dtype=np.float64)
+        # the accrued columns, resolved once (every quantum writes them)
+        self._cols = tuple(
+            self._idx[e.code]
+            for e in (
+                INSTR_LOAD,
+                INSTR_STORE,
+                INSTR_ANY,
+                STALLS_MEM_ANY,
+                CYCLES_MEM_ANY,
+                STALLS_L3_MISS,
+                CYCLES_L3_MISS,
+            )
+        )
+        # time-correlated noise: a flat list of plain floats holding the
+        # current factor and its expiry for each (lcpu, noisy event), at
+        # 8 * lcpu + 2 * which and the slot after it
+        self._noise = [1.0, 0.0] * (4 * n_lcpus)
         self._noise_sigma = (
             config.stalls_mem_any_noise,
             config.cycles_mem_any_noise,
@@ -125,14 +139,12 @@ class CounterEngine:
         sigma = self._noise_sigma[which]
         if sigma <= 0.0:
             return 1.0
-        if now >= self._noise_until[lcpu, which]:
-            self._noise[lcpu, which] = max(
-                0.05, float(self.rng.normal(1.0, sigma))
-            )
-            self._noise_until[lcpu, which] = (
-                now + self.config.noise_correlation_us
-            )
-        return float(self._noise[lcpu, which])
+        noise = self._noise
+        i = 8 * lcpu + 2 * which
+        if now >= noise[i + 1]:
+            noise[i] = max(0.05, float(self.rng.normal(1.0, sigma)))
+            noise[i + 1] = now + self.config.noise_correlation_us
+        return noise[i]
 
     # -- accrual -------------------------------------------------------------
 
@@ -193,13 +205,14 @@ class CounterEngine:
         )
 
         row = self._values[lcpu]
-        row[self._idx[INSTR_LOAD.code]] += loads
-        row[self._idx[INSTR_STORE.code]] += stores
-        row[self._idx[INSTR_ANY.code]] += instructions
-        row[self._idx[STALLS_MEM_ANY.code]] += stalls_mem
-        row[self._idx[CYCLES_MEM_ANY.code]] += cycles_mem
-        row[self._idx[STALLS_L3_MISS.code]] += stalls_l3
-        row[self._idx[CYCLES_L3_MISS.code]] += cycles_l3
+        i_load, i_store, i_any, i_sma, i_cma, i_sl3, i_cl3 = self._cols
+        row[i_load] += loads
+        row[i_store] += stores
+        row[i_any] += instructions
+        row[i_sma] += stalls_mem
+        row[i_cma] += cycles_mem
+        row[i_sl3] += stalls_l3
+        row[i_cl3] += cycles_l3
 
     def account_compute(self, lcpu: int, cycles: float) -> None:
         """Charge counters for a compute burst of ``cycles`` on ``lcpu``."""
@@ -210,13 +223,14 @@ class CounterEngine:
         stalls = cycles * c.compute_stall_frac
 
         row = self._values[lcpu]
-        row[self._idx[INSTR_LOAD.code]] += loads
-        row[self._idx[INSTR_STORE.code]] += stores
-        row[self._idx[INSTR_ANY.code]] += instructions
-        row[self._idx[STALLS_MEM_ANY.code]] += stalls
-        row[self._idx[CYCLES_MEM_ANY.code]] += stalls * 1.3
-        row[self._idx[STALLS_L3_MISS.code]] += stalls * 0.2
-        row[self._idx[CYCLES_L3_MISS.code]] += stalls * 0.1
+        i_load, i_store, i_any, i_sma, i_cma, i_sl3, i_cl3 = self._cols
+        row[i_load] += loads
+        row[i_store] += stores
+        row[i_any] += instructions
+        row[i_sma] += stalls
+        row[i_cma] += stalls * 1.3
+        row[i_sl3] += stalls * 0.2
+        row[i_cl3] += stalls * 0.1
 
     # -- reading ----------------------------------------------------------------
 

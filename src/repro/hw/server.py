@@ -64,6 +64,10 @@ class Server:
         self.data_plane = None
 
         n = self.topology.n_lcpus
+        #: per-lcpu tables read on every quantum: the SMT sibling, and the
+        #: hosting core's DVFS setting as a fraction of nominal clock.
+        self._sibling = [self.topology.sibling(i) for i in range(n)]
+        self._lcpu_freq = [1.0] * n
         self._kinds: list[CpuKind] = [IDLE] * n
         #: end of the validity window of _kinds[lcpu] (quantum end time).
         self._kind_until = [0.0] * n
@@ -77,8 +81,6 @@ class Server:
                 f"got {busy_values.shape}"
             )
         self.busy_us = busy_values
-        #: per-physical-core DVFS setting as a fraction of nominal clock.
-        self._core_freq = np.ones(self.topology.n_cores, dtype=np.float64)
 
     # -- DVFS ---------------------------------------------------------------
 
@@ -100,13 +102,11 @@ class Server:
                 f"frequency fraction must be in "
                 f"[{self.MIN_FREQ_FRACTION}, 1.0], got {fraction}"
             )
-        self._core_freq[core] = fraction
+        for lcpu in self.topology.lcpus_of_core(core):
+            self._lcpu_freq[lcpu] = float(fraction)
 
     def core_frequency(self, core: int) -> float:
-        return float(self._core_freq[core])
-
-    def _freq_of_lcpu(self, lcpu: int) -> float:
-        return float(self._core_freq[self.topology.core_of(lcpu)])
+        return self._lcpu_freq[self.topology.lcpus_of_core(core)[0]]
 
     # -- occupancy tracking -------------------------------------------------
 
@@ -139,13 +139,6 @@ class Server:
             return self._kinds[lcpu]
         return IDLE
 
-    def sibling_kind(self, lcpu: int) -> CpuKind:
-        return self.kind_of(self.topology.sibling(lcpu))
-
-    def _record_window(self, lcpu: int, kind: CpuKind, duration: float) -> None:
-        self._kinds[lcpu] = kind
-        self._kind_until[lcpu] = self.env.now + duration
-
     # -- quantum execution -----------------------------------------------------
 
     def mem_quantum(
@@ -166,11 +159,16 @@ class Server:
         if max_us <= 0 or lines_remaining <= 0:
             raise ValueError("mem_quantum needs positive work and budget")
         c = self.config
-        sibling = self.sibling_kind(lcpu)
+        now = self.env.now
+        sib = self._sibling[lcpu]
+        # the sibling's kind window, as kind_of() reads it
+        sibling = (
+            self._kinds[sib] if now < self._kind_until[sib] + _KIND_GRACE_US else IDLE
+        )
         mult = self.contention.mem_latency_multiplier(
             sibling
         ) * self.contention.bandwidth_multiplier()
-        freq = self._freq_of_lcpu(lcpu)
+        freq = self._lcpu_freq[lcpu]
         # cache hits are core-clocked; DRAM lines are memory-clocked
         per_line_us = (
             1.0 - dram_frac
@@ -179,9 +177,10 @@ class Server:
         lines_done = min(lines_remaining, lines_possible)
         duration = lines_done * per_line_us
         self.counters.account_mem(lcpu, lines_done, dram_frac, mult, store_frac,
-                                  now=self.env.now)
+                                  now=now)
         self.busy_us[lcpu] += duration
-        self._record_window(lcpu, kind, duration)
+        self._kinds[lcpu] = kind
+        self._kind_until[lcpu] = now + duration
         plane = self.data_plane
         if plane is not None:
             plane.generation += 1
@@ -197,15 +196,20 @@ class Server:
         if max_us <= 0 or cycles_remaining <= 0:
             raise ValueError("comp_quantum needs positive work and budget")
         c = self.config
-        sibling = self.sibling_kind(lcpu)
+        now = self.env.now
+        sib = self._sibling[lcpu]
+        sibling = (
+            self._kinds[sib] if now < self._kind_until[sib] + _KIND_GRACE_US else IDLE
+        )
         mult = self.contention.comp_latency_multiplier(sibling)
-        us_per_cycle = mult / (c.freq_cycles_per_us * self._freq_of_lcpu(lcpu))
+        us_per_cycle = mult / (c.freq_cycles_per_us * self._lcpu_freq[lcpu])
         cycles_possible = max_us / us_per_cycle
         cycles_done = min(cycles_remaining, cycles_possible)
         duration = cycles_done * us_per_cycle
         self.counters.account_compute(lcpu, cycles_done)
         self.busy_us[lcpu] += duration
-        self._record_window(lcpu, kind, duration)
+        self._kinds[lcpu] = kind
+        self._kind_until[lcpu] = now + duration
         plane = self.data_plane
         if plane is not None:
             plane.generation += 1

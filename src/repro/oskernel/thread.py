@@ -15,7 +15,10 @@ CPU time-sharing emerges from quantum-sized FIFO requests on the per-CPU
 resources: contending threads interleave round-robin at quantum
 granularity, and an affinity change takes effect at the next quantum
 boundary -- the same migration latency profile as `sched_setaffinity` on
-a real kernel.
+a real kernel.  A quantum that starts inside the dispatch of the thread's
+own previous timeout, on a free CPU with nothing else due, takes the CPU
+in place rather than through a grant event; the firing order is the
+same either way (DESIGN.md section 9).
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ class SimThread:
         self.quantum_us = quantum_us if quantum_us is not None else system.quantum_us
         if self.quantum_us <= 0:
             raise ValueError(f"thread {self.name}: quantum must be positive")
-        self.affinity: frozenset[int] = frozenset(affinity)
+        self.affinity = frozenset(affinity)
         if not self.affinity:
             raise ValueError(f"thread {self.name}: empty affinity mask")
         self.state = ThreadState.NEW
@@ -81,9 +84,22 @@ class SimThread:
         #: the logical CPU this thread is queued on while WAITING_CPU.
         self.pending_lcpu: Optional[int] = None
         self._pending_req = None
+        #: the last quantum, sleep or disk timeout this thread waited on.
+        self._own_timeout = None
         self._kill_requested = False
         self._body = body
         self.sim_proc = self.env.process(self._main(), name=self.name)
+
+    @property
+    def affinity(self) -> frozenset[int]:
+        """The logical CPUs this thread may run on."""
+        return self._affinity
+
+    @affinity.setter
+    def affinity(self, cpus: frozenset[int]) -> None:
+        self._affinity = cpus
+        #: the mask in ascending order, for the least-loaded scan.
+        self._affinity_order = tuple(sorted(cpus))
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -137,12 +153,19 @@ class SimThread:
     def _choose_lcpu(self) -> int:
         """Pick the least-loaded permitted logical CPU (sticky tie-break)."""
         slots = self.system.cpu_slots
+        last = self.last_lcpu
+        if last in self._affinity:
+            slot = slots[last]
+            if not slot._users and not slot._queue:
+                # load -0.5 after the stickiness bonus: the unique
+                # minimum, so the scan below would return it too
+                return last
         best = None
         best_load = None
-        for lcpu in sorted(self.affinity):
+        for lcpu in self._affinity_order:
             slot = slots[lcpu]
-            load = slot.count + slot.queue_length
-            if lcpu == self.last_lcpu:
+            load = len(slot._users) + len(slot._queue)
+            if lcpu == last:
                 load -= 0.5  # mild cache-affinity stickiness
             if best_load is None or load < best_load:
                 best, best_load = lcpu, load
@@ -164,32 +187,49 @@ class SimThread:
         else:
             raise TypeError(f"unknown op type: {op!r}")
 
+        env = self.env
         server = self.system.server
+        slots = self.system.cpu_slots
         quantum = self.quantum_us
         while remaining > 1e-9:
             self._check_kill()
             lcpu = self._choose_lcpu()
-            slot = self.system.cpu_slots[lcpu]
-            req = slot.request(tag=self.tid)
-            self.state = ThreadState.WAITING_CPU
-            self.pending_lcpu = lcpu
-            self._pending_req = req
-            try:
-                yield req
-            except Interrupt as i:
-                slot.release(req)
+            slot = slots[lcpu]
+            # In-place grant: running inside the dispatch of our own
+            # single-waiter timeout, with nothing else due now, the grant
+            # request() would schedule is the very next event dispatched,
+            # so taking the slot here runs the same statements in the
+            # same order (DESIGN.md section 9).
+            own = self._own_timeout
+            req = None
+            if (
+                own is not None
+                and own.callbacks is None
+                and not own._processed
+                and env.nothing_due_now()
+            ):
+                req = slot.seize(self.tid)
+            if req is None:
+                req = slot.request(tag=self.tid)
+                self.state = ThreadState.WAITING_CPU
+                self.pending_lcpu = lcpu
+                self._pending_req = req
+                try:
+                    yield req
+                except Interrupt as i:
+                    slot.release(req)
+                    self.pending_lcpu = None
+                    self._pending_req = None
+                    if i.cause == _KILL:
+                        raise ThreadKilled(self.name)
+                    continue  # migrate: re-choose under the new mask
                 self.pending_lcpu = None
                 self._pending_req = None
-                if i.cause == _KILL:
-                    raise ThreadKilled(self.name)
-                continue  # migrate: re-choose under the new mask
-            self.pending_lcpu = None
-            self._pending_req = None
 
-            if lcpu not in self.affinity:
-                # mask changed while queued; the grant is stale
-                slot.release(req)
-                continue
+                if lcpu not in self._affinity:
+                    # mask changed while queued; the grant is stale
+                    slot.release(req)
+                    continue
 
             self.state = ThreadState.RUNNING
             self.last_lcpu = lcpu
@@ -203,10 +243,11 @@ class SimThread:
             hook = self.system.quantum_hook
             if hook is not None:
                 hook(lcpu, self.tid, "mem" if is_mem else "comp",
-                     self.env.now, duration)
+                     env.now, duration)
             killed = False
+            self._own_timeout = timeout = env.timeout(duration)
             try:
-                yield self.env.timeout(duration)
+                yield timeout
             except Interrupt as i:
                 # rare: kill lands mid-quantum; the quantum is already
                 # accounted, so just fold it in and exit
@@ -225,8 +266,9 @@ class SimThread:
         """Block off-CPU for ``us`` microseconds."""
         self._check_kill()
         self.state = ThreadState.SLEEPING
+        self._own_timeout = timeout = self.env.timeout(us)
         try:
-            yield self.env.timeout(us)
+            yield timeout
         except Interrupt as i:
             if i.cause == _KILL:
                 raise ThreadKilled(self.name)
@@ -256,8 +298,11 @@ class SimThread:
         disk = self.system.server.disk
         req = yield from disk.channels.acquire()
         try:
+            self._own_timeout = timeout = self.env.timeout(
+                disk.service_time(nbytes, write)
+            )
             try:
-                yield self.env.timeout(disk.service_time(nbytes, write))
+                yield timeout
             except Interrupt as i:
                 if i.cause == _KILL:
                     raise ThreadKilled(self.name)

@@ -86,6 +86,10 @@ class HeapEnvironment(Environment):
             _heappop(heap)
         return heap[0][0] if heap else float("inf")
 
+    def nothing_due_now(self) -> bool:
+        heap = self._heap
+        return not heap or heap[0][0] > self._now
+
     def step(self) -> None:
         heap = self._heap
         while heap and heap[0][3] is None:
@@ -366,6 +370,13 @@ class WheelEnvironment(Environment):
         if overflow and (best is None or overflow[0] < best):
             best = overflow[0]
         return best[0] if best is not None else float("inf")
+
+    def nothing_due_now(self) -> bool:
+        # The drain list's next entry is the calendar's earliest: ring and
+        # overflow entries sit in later buckets, so strictly later times.
+        cur = self._cur
+        pos = self._pos
+        return pos == len(cur) or cur[pos][0] > self._now
 
     def step(self) -> None:
         self._fire(self._pop_next())

@@ -523,6 +523,15 @@ class Environment:
         """Time of the next scheduled event, or +inf if the calendar is empty."""
         raise NotImplementedError
 
+    def nothing_due_now(self) -> bool:
+        """True when no calendar entry is due at the current time.
+
+        Checks only the calendar's front entry, so a cancelled entry due
+        now still counts as due.  Inside a dispatch, True means an event
+        scheduled now with no delay would be the next one dispatched.
+        """
+        raise NotImplementedError
+
     def step(self) -> None:
         """Process exactly one event."""
         raise NotImplementedError

@@ -65,6 +65,26 @@ class Resource:
     def request(self, tag: Any = None) -> Request:
         return Request(self, tag)
 
+    def seize(self, tag: Any = None) -> Request | None:
+        """Hold a free slot at once, with no calendar entry; None if busy.
+
+        The result is a request in the state :meth:`request`'s would reach
+        once its grant fired.  Only exact for a caller that knows that
+        grant would be the very next event dispatched (see
+        :meth:`~repro.oskernel.SimThread.exec`).
+        """
+        if self._queue or len(self._users) >= self.capacity:
+            return None
+        req = Request.__new__(Request)
+        Event.__init__(req, self.env)
+        req.resource = self
+        req.tag = tag
+        req._value = req
+        req.callbacks = None
+        req._processed = True
+        self._users.append(req)
+        return req
+
     def release(self, request: Request) -> None:
         if request in self._users:
             self._users.remove(request)

@@ -17,6 +17,7 @@ f         50% read / 50% read-mod-write  scrambled Zipfian
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +55,10 @@ class WorkloadSpec:
     key_chooser: str = "zipfian"
 
     def __post_init__(self):
-        total = self.read + self.update + self.insert + self.scan + self.rmw
+        mix = (self.read, self.update, self.insert, self.scan, self.rmw)
+        if min(mix) < 0.0:
+            raise ValueError(f"workload {self.name}: negative mix share {mix}")
+        total = sum(mix)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"workload {self.name}: mix sums to {total}, not 1")
         if self.key_chooser not in ("zipfian", "latest"):
@@ -119,10 +123,17 @@ class QueryGenerator:
         self._insert_cursor = n_keys
         s = spec
         self._ops = ["read", "update", "insert", "scan", "rmw"]
-        self._probs = np.array([s.read, s.update, s.insert, s.scan, s.rmw])
+        # Generator.choice(5, p=...)'s own arithmetic, done once: it
+        # normalises the cumulative sum and bisects one uniform double.
+        cdf = np.array([s.read, s.update, s.insert, s.scan, s.rmw]).cumsum()
+        cdf /= cdf[-1]
+        self._cdf = cdf.tolist()
+
+    def _draw_op(self) -> str:
+        return self._ops[bisect_right(self._cdf, self.rng.random())]
 
     def next(self) -> Query:
-        op = self._ops[int(self.rng.choice(5, p=self._probs))]
+        op = self._draw_op()
         if op == "insert":
             key = self._insert_cursor
             self._insert_cursor += 1

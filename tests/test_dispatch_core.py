@@ -380,3 +380,47 @@ def test_worker_canonical_params_restores_tuples():
     assert fixed["e_values"] == (50.0, 70.0)
     assert fixed["service"] == "redis"
     assert fixed["n"] == 3
+
+
+# -- the CI gate over a bench record's dispatch_core section --------------------
+
+
+def _gate():
+    import importlib.util
+    import pathlib
+
+    path = pathlib.Path(__file__).parents[1] / "scripts" / "check_bench_regression.py"
+    spec = importlib.util.spec_from_file_location("check_bench_regression", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _dispatch_section(workers: int, speedup: float) -> dict:
+    return {
+        "effective_workers": workers,
+        "skewed_mix": {
+            "n_cheap": 8,
+            "static_wall_s": 1.0,
+            "core_wall_s": 1.0 / speedup,
+            "speedup": speedup,
+            "identical_merged_results": True,
+        },
+        "sharded_sweep": {"identical_merged_results": True},
+    }
+
+
+def test_dispatch_gate_skip_is_loud_at_one_worker(capsys):
+    gate = _gate()
+    assert gate.check_dispatch_core(_dispatch_section(1, 1.0), 1.3) == []
+    out = capsys.readouterr().out
+    assert "SKIPPED: dispatch-core speedup gate" in out
+    assert "this record ran 1" in out
+
+
+def test_dispatch_gate_applies_at_two_workers(capsys):
+    gate = _gate()
+    assert gate.check_dispatch_core(_dispatch_section(2, 1.5), 1.3) == []
+    assert "SKIPPED" not in capsys.readouterr().out
+    [failure] = gate.check_dispatch_core(_dispatch_section(2, 1.1), 1.3)
+    assert "only 1.10x" in failure

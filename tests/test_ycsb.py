@@ -15,7 +15,7 @@ from repro.ycsb import (
     ZipfianGenerator,
     workload_by_name,
 )
-from repro.ycsb.workloads import QueryGenerator
+from repro.ycsb.workloads import ALL_WORKLOADS, QueryGenerator
 
 
 def test_zipfian_bounds():
@@ -82,6 +82,28 @@ def test_workload_by_name():
 def test_workload_mix_validation():
     with pytest.raises(ValueError):
         WorkloadSpec("bad", read=0.5, update=0.2)
+
+
+def test_workload_mix_rejects_negative_shares():
+    with pytest.raises(ValueError, match="negative"):
+        WorkloadSpec("bad", read=1.25, update=-0.25)
+
+
+@pytest.mark.parametrize("spec", ALL_WORKLOADS, ids=lambda w: w.name)
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**32 + 5])
+def test_op_draw_equals_generator_choice(spec, seed):
+    """The precomputed-CDF draw is Generator.choice(5, p=mix), draw for
+    draw, and leaves the generator in the same state."""
+    ours = np.random.default_rng(seed)
+    numpy_rng = np.random.default_rng(seed)
+    gen = QueryGenerator(spec, 1000, ours)
+    QueryGenerator(spec, 1000, numpy_rng)  # same construction-time draws
+    probs = np.array([spec.read, spec.update, spec.insert, spec.scan, spec.rmw])
+    names = ["read", "update", "insert", "scan", "rmw"]
+    drawn = [gen._draw_op() for _ in range(10_000)]
+    want = [names[int(numpy_rng.choice(5, p=probs))] for _ in range(10_000)]
+    assert drawn == want
+    assert ours.bit_generator.state == numpy_rng.bit_generator.state
 
 
 def test_query_generator_respects_mix():
