@@ -282,7 +282,6 @@ def cmd_cluster(args) -> int:
         cache=cache,
         parallel=args.parallel,
         executor=args.executor,
-        dispatch=args.dispatch,
         **_resilience_kwargs(args),
         **tel_kwargs,
     )
@@ -445,8 +444,6 @@ def cmd_bench(args) -> int:
         rows += [
             ["cluster heap wall (s)", round(cl["heap_wall_s"], 2)],
             ["cluster wheel wall (s)", round(cl["wheel_wall_s"], 2)],
-            ["cluster wheel+coalesce (s)",
-             round(cl["wheel_coalesced_wall_s"], 2)],
             ["cluster reports identical", str(cl["identical_reports"])],
         ]
     if "dispatch_core" in record:
@@ -454,9 +451,9 @@ def cmd_bench(args) -> int:
         mix = dc["skewed_mix"]
         rows += [
             ["dispatch workers", dc["effective_workers"]],
-            ["skewed mix static wall (s)", round(mix["static_wall_s"], 2)],
-            ["skewed mix core wall (s)", round(mix["core_wall_s"], 2)],
-            ["skewed mix speedup", round(mix["speedup"], 2)],
+            ["skewed mix fifo wall (s)", round(mix["fifo_wall_s"], 2)],
+            ["skewed mix lpt wall (s)", round(mix["lpt_wall_s"], 2)],
+            ["skewed mix lpt speedup", round(mix["speedup"], 2)],
             ["skewed mix identical", str(mix["identical_merged_results"])],
             ["sharded sweep identical",
              str(dc["sharded_sweep"]["identical_merged_results"])],
@@ -470,14 +467,14 @@ def cmd_bench(args) -> int:
         print("ERROR: serial and parallel merged results differ",
               file=sys.stderr)
     if "cluster" in record and not record["cluster"]["identical_reports"]:
-        print("ERROR: cluster sweep reports differ across kernels or "
-              "coalescing", file=sys.stderr)
+        print("ERROR: cluster sweep reports differ across kernels",
+              file=sys.stderr)
         failed = True
     if "dispatch_core" in record:
         dc = record["dispatch_core"]
         if not dc["skewed_mix"]["identical_merged_results"]:
-            print("ERROR: static-pool and dispatch-core merged results "
-                  "differ", file=sys.stderr)
+            print("ERROR: fifo and lpt dispatch merged results differ",
+                  file=sys.stderr)
             failed = True
         if not dc["sharded_sweep"]["identical_merged_results"]:
             print("ERROR: sharded sweep merged results differ across "
@@ -822,10 +819,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["inprocess", "pool", "socket"],
                    help="cell transport (default: pool when --parallel "
                         "> 1, in-process otherwise)")
-    p.add_argument("--dispatch", default="core",
-                   choices=["core", "static"],
-                   help="dispatch strategy: cost-ordered dispatch core "
-                        "(default) or the legacy static pool")
     p.add_argument("--cache-dir", default=None,
                    help="result cache directory (default: no cache)")
     p.add_argument("--output", default="cluster_report.json")

@@ -20,8 +20,8 @@ One :class:`ClusterDataPlane` owns three cluster-wide pools:
   views backing each :class:`~repro.hw.server.Server`'s ``busy_us``.
 * ``usage_ema`` / ``vpi_ema`` -- ``(n_nodes, n_lcpus)`` smoothed views,
   row views backing each node's :class:`~repro.core.monitor.MetricMonitor`
-  EMAs (the EMA update itself stays per-node: a stopped or coalesced
-  daemon must not have its state advanced by its neighbours).
+  EMAs (the EMA update itself stays per-node: a stopped daemon must not
+  have its state advanced by its neighbours).
 
 Windowed reads go through two *hubs*.  On the first read at a given
 ``(time, generation)`` key the hub takes one batched snapshot of the
@@ -147,9 +147,6 @@ class _UsageHub:
 
     def peek(self, node: int, now: float) -> np.ndarray:
         return self._window(node, now)
-
-    def resync(self, node: int, t: float) -> None:
-        self._prev_t[node] = t
 
     def rebaseline(self, node: int, now: float) -> None:
         self._last[node] = self.plane.busy[node]

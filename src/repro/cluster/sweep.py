@@ -69,17 +69,11 @@ def run_cluster_sweep(
     predict_probe_seed: int = 42,
     slo_multiplier: float = SLO_MULTIPLIER,
     score_weights: Optional[ScoreWeights] = None,
-    coalesce_idle_ticks: int = 1,
     faults=None,
     max_resubmits: int = 3,
     obs=None,
 ) -> dict:
     """Run one policy over the churned cluster; return the metrics payload.
-
-    ``coalesce_idle_ticks`` > 1 lets each node's telemetry daemon stretch
-    its tick while the node is still virgin (nothing has ever run there);
-    the payload is byte-identical either way -- the skipped ticks are
-    no-ops -- so it is purely a wall-clock knob for large sweeps.
 
     ``faults`` (a :class:`~repro.faults.FaultPlan`, its dict form, or its
     canonical JSON string) attaches seeded chaos: per-node counter/tick/
@@ -103,10 +97,7 @@ def run_cluster_sweep(
 
         plane = ObservabilityPlane.coerce(obs)
 
-    holmes_cfg = HolmesConfig(
-        interval_us=telemetry_interval_us,
-        coalesce_idle_ticks=coalesce_idle_ticks,
-    )
+    holmes_cfg = HolmesConfig(interval_us=telemetry_interval_us)
     cluster = Cluster(
         n_servers=n_nodes, seed=seed, holmes_config=holmes_cfg, faults=plan,
         obs=plane,

@@ -126,8 +126,6 @@ class Holmes:
                                          obs=obs)
         self.ticks = 0
         self.active_ticks = 0
-        #: ticks skipped by quiescent coalescing (each a provable no-op).
-        self.skipped_idle_ticks = 0
         #: injected tick faults absorbed by the loop.
         self.missed_ticks = 0
         self.stalled_ticks = 0
@@ -139,16 +137,6 @@ class Holmes:
         self._process = None
         self._watchdog_proc = None
         self._timer = None
-        #: True until the node first shows any activity; quiescent
-        #: coalescing only applies to virgin nodes, because EMAs never
-        #: return to exactly zero once anything has run.
-        self._virgin = True
-        self._stretched = False
-        #: boundary of the last actual tick (stretch origin).
-        self._b0 = 0.0
-        #: monitor clock to fast-forward to before the next collect.
-        self._resync_to: Optional[float] = None
-        self._skip_count = 0
         #: cached non-reserved index array for telemetry() (the reserved
         #: set changes rarely; rebuilding it per snapshot dominated the
         #: snapshot cost).
@@ -190,9 +178,6 @@ class Holmes:
             self.scheduler._log("lc_register_failed", str(exc))
             return False
         self.scheduler.allocate_lc_service(pid)
-        # an activation edge: a coalesced daemon must tick at the next
-        # boundary, not at the end of its stretched sleep.
-        self._on_activity()
         return True
 
     def telemetry(self) -> TelemetrySnapshot:
@@ -258,11 +243,8 @@ class Holmes:
         if self._started_once:
             # restart: re-baseline every window (usage, counters, per-LC
             # cputime) so the stopped span does not pollute the first
-            # post-restart sample, and forget any stale coalescing state.
+            # post-restart sample.
             self.monitor.rebaseline(self.env.now)
-            self._stretched = False
-            self._resync_to = None
-            self._skip_count = 0
         self._started_once = True
         self._running = True
         self._last_tick_at = self.env.now
@@ -290,8 +272,6 @@ class Holmes:
             self._timer.cancel()
         self._interrupt_quietly(self._process)
         self._interrupt_quietly(self._watchdog_proc)
-        self._stretched = False
-        self._disarm_hooks()
 
     def _interrupt_quietly(self, proc) -> None:
         from repro.sim import SimulationError
@@ -321,21 +301,15 @@ class Holmes:
         # user-level frame.
         timer = RecurringTimeout(self.env, self.config.interval_us, auto=True)
         self._timer = timer
-        stretch = self.config.coalesce_idle_ticks
         while self._running:
             try:
                 yield timer
-            except Interrupt as exc:
+            except Interrupt:
                 if not self._running:
                     break
-                if exc.cause == "watchdog":
-                    # re-armed by the watchdog: just park on the (auto
-                    # re-arming) timer again, which waits for the next
-                    # grid boundary.
-                    continue
-                # activation edge during a stretched sleep: snap back to
-                # the first tick boundary at or after the edge.
-                self._realign(timer)
+                # re-armed by the watchdog: just park on the (auto
+                # re-arming) timer again, which waits for the next grid
+                # boundary.
                 continue
             if not self._running:
                 break
@@ -362,17 +336,6 @@ class Holmes:
                         if not self._running:
                             break
                         continue  # watchdog recovery: abandon this tick
-            if self._resync_to is not None:
-                # waking from a stretched sleep: the skipped boundaries
-                # were provable no-op ticks; fast-forward the monitor's
-                # window clocks so this tick sees exactly one interval.
-                self.monitor.resync_idle(self._resync_to)
-                self._resync_to = None
-                self.skipped_idle_ticks += self._skip_count
-                self._skip_count = 0
-                if self._stretched:
-                    self._stretched = False
-                    self._disarm_hooks()
             sample = self.monitor.collect()
             events_before = len(self.scheduler.events)
             self.scheduler.tick(sample)
@@ -389,29 +352,14 @@ class Holmes:
                 if self._vpi_hist is not None:
                     self._vpi_hist.observe(lc_vpi)
                     self._usage_hist.observe(lc_usage)
-            if stretch > 1 and self._virgin:
-                if (
-                    not self.monitor.lc_services
-                    and not self.monitor.containers
-                    and not sample.usage.any()
-                    and not sample.vpi.any()
-                ):
-                    self._stretch(timer, self.env.now)
-                else:
-                    # something has run: EMAs are nonzero from here on,
-                    # so the node can never be quiescent again.
-                    self._virgin = False
         timer.cancel()
-        self._stretched = False
-        self._disarm_hooks()
 
     def _watchdog(self, timeout_us: float):
         """Re-arm the loop when it has been silent for ``timeout_us``.
 
-        A stretched (coalesced) sleep is intentional silence and is left
-        alone; anything else this long past the last completed tick means
-        the loop is wedged (an injected stall, on real hardware a blocked
-        syscall) and gets an interrupt that sends it back to the timer.
+        Silence this long past the last completed tick means the loop is
+        wedged (an injected stall, on real hardware a blocked syscall);
+        it gets an interrupt that sends it back to the timer.
         """
         from repro.sim import Interrupt, RecurringTimeout
 
@@ -423,8 +371,6 @@ class Holmes:
                 break
             if not self._running:
                 break
-            if self._stretched:
-                continue
             loop = self._process
             if (
                 loop is not None
@@ -438,64 +384,6 @@ class Holmes:
                                       self.env.now - self._last_tick_at))
                 loop.interrupt("watchdog")
         timer.cancel()
-
-    # -- quiescent tick coalescing -----------------------------------------
-
-    def _stretch(self, timer, boundary: float) -> None:
-        """Replace the next ``stretch`` idle ticks with one wake.
-
-        Boundaries are accumulated by repeated addition so they are
-        bitwise identical to the chain the auto-rearming timer itself
-        would have produced; the wake tick then resyncs the monitor to
-        the second-to-last boundary and observes exactly one interval.
-        """
-        p = self.config.interval_us
-        prev = boundary
-        nxt = boundary + p
-        for _ in range(self.config.coalesce_idle_ticks - 1):
-            prev = nxt
-            nxt = nxt + p
-        timer.skip_to(nxt)
-        self._b0 = boundary
-        self._resync_to = prev
-        self._skip_count = self.config.coalesce_idle_ticks - 1
-        self._stretched = True
-        self._arm_hooks()
-
-    def _realign(self, timer) -> None:
-        """After an activation edge, re-aim the timer at the tick grid."""
-        p = self.config.interval_us
-        now = self.env.now
-        prev = self._b0
-        nxt = prev + p
-        skipped = 0
-        while nxt < now:
-            prev = nxt
-            nxt = nxt + p
-            skipped += 1
-        timer.skip_to(nxt)
-        self._resync_to = prev
-        self._skip_count = skipped
-
-    def _on_activity(self, _path=None) -> None:
-        """Activation edge: wake a coalesced daemon at the next boundary."""
-        if not self._stretched:
-            return
-        self._stretched = False
-        self._disarm_hooks()
-        self._process.interrupt("activity")
-
-    def _arm_hooks(self) -> None:
-        self.system.server.activity_hook = self._on_activity
-        self.system.cgroups.on_create = self._on_activity
-
-    def _disarm_hooks(self) -> None:
-        server = self.system.server
-        if server.activity_hook == self._on_activity:
-            server.activity_hook = None
-        cgroups = self.system.cgroups
-        if cgroups.on_create == self._on_activity:
-            cgroups.on_create = None
 
     # -- Section 6.6: overhead ---------------------------------------------------------
 
@@ -527,5 +415,6 @@ class Holmes:
             "resident_bytes": state_bytes + 2 * 1024 * 1024,  # code + arenas
             "ticks": self.ticks,
             "active_tick_fraction": active_frac,
-            "skipped_idle_ticks": self.skipped_idle_ticks,
+            # pinned by every committed holmes payload digest; always 0.
+            "skipped_idle_ticks": 0,
         }

@@ -53,11 +53,6 @@ class Server:
         )
         self.disk = Disk(env, self.config, self.rng)
 
-        #: optional zero-arg callback fired at every quantum start; the
-        #: Holmes daemon uses it as the activation edge that ends a
-        #: coalesced (stretched) idle tick.  None = disabled, no cost.
-        self.activity_hook = None
-
         #: cluster data plane this server's counters are pooled into, when
         #: the cluster runs the vectorized plane; every quantum accrual
         #: bumps its generation so batched reads never see stale values.
@@ -116,9 +111,6 @@ class Server:
         Only drives the bandwidth stream accounting; the sibling-visible
         kind window is recorded by the quantum itself.
         """
-        hook = self.activity_hook
-        if hook is not None:
-            hook()
         streaming = kind.mem > _STREAM_THRESHOLD
         if streaming != self._streaming[lcpu]:
             if streaming:

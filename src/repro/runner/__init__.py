@@ -53,13 +53,11 @@ from repro.runner.resilience import (
     SweepJournal,
 )
 from repro.runner.runner import (
-    DISPATCH_MODES,
     CellExecutionError,
     ExperimentRunner,
     RunReport,
 )
 from repro.runner.bench import (
-    bench_event_loop,
     bench_fault_overhead,
     bench_resilience_overhead,
     bench_runner_obs_overhead,
@@ -92,11 +90,9 @@ __all__ = [
     "ChaosFault",
     "RetryPolicy",
     "SweepJournal",
-    "DISPATCH_MODES",
     "CellExecutionError",
     "ExperimentRunner",
     "RunReport",
-    "bench_event_loop",
     "bench_fault_overhead",
     "bench_resilience_overhead",
     "bench_runner_obs_overhead",

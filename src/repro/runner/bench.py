@@ -15,20 +15,21 @@ trajectory is tracked from PR to PR:
   at small populations the kernels are within noise of each other and
   dispatch cost dominates; the wheel pulls away as the pending-set
   grows and heap sifts go O(log n) over a cache-hostile array.
-* **cluster** -- wall-clock of the 100-node churn sweep under heap,
-  wheel, and wheel + quiescent tick coalescing, with a byte-identity
-  check across all three reports (speed that changes results is a bug).
+* **cluster** -- wall-clock of the 100-node churn sweep under heap and
+  wheel, with a byte-identity check across both reports (speed that
+  changes results is a bug).
 * **sweep** -- serial vs parallel wall-clock of a 4-experiment
   co-location sweep through the runner (cache + process fan-out), with
   the serial/parallel byte-identity check.
-* **dispatch_core** -- the async dispatch core against the static pool
-  on a skewed cell mix (one long cell hidden at the end of a pile of
-  short ones: the head-of-line shape the longest-expected-first ready
-  queue exists for), plus a 1,000-node sharded cluster sweep run through
-  every executor transport and two pool sizes with a byte-identity
-  check across all merged reports.  The skewed-mix speedup is gated in
-  CI (>= 1.3x) whenever the record shows at least two effective
-  workers; the identity checks are gated unconditionally.
+* **dispatch_core** -- the dispatch core's longest-expected-first order
+  against first-in-first-out on a skewed cell mix (one long cell hidden
+  at the end of a pile of short ones: the head-of-line shape the LPT
+  ready queue exists for), plus a 1,000-node sharded cluster sweep run
+  through every executor transport and two pool sizes with a
+  byte-identity check across all merged reports.  The skewed-mix
+  speedup is gated in CI (>= 1.3x) whenever the record shows at least
+  two effective workers; the identity checks are gated
+  unconditionally.
 * **fault_overhead** -- wall-clock of a telemetry-mode daemon run with
   and without the (empty) fault-injection hooks attached; the ratio is
   what the CI regression gate holds to <= 5%.
@@ -92,7 +93,24 @@ KERNEL_POPULATIONS_QUICK = (1_024,)
 
 #: cluster bench shape (full / --quick).
 CLUSTER_NODES = 100
-CLUSTER_COALESCE = 32
+
+
+def _interleaved_min(one, arms, repeats: int, warm: bool = False) -> dict:
+    """Min-of-``repeats`` wall seconds per arm, arms interleaved.
+
+    ``one(arm)`` runs one arm and returns its wall seconds.  Alternating
+    the arms round by round lets CPU frequency drift hit every arm
+    equally; ``warm`` first runs each arm once untimed (imports, pool
+    spawn).
+    """
+    if warm:
+        for arm in arms:
+            one(arm)
+    walls: dict = {arm: [] for arm in arms}
+    for _ in range(repeats):
+        for arm in arms:
+            walls[arm].append(one(arm))
+    return {arm: min(w) for arm, w in walls.items()}
 
 
 def _flood_period(i: int) -> float:
@@ -198,16 +216,16 @@ def bench_dispatch_pair(n_tickers: int = 64, horizon_us: float = 40_000.0,
     *gated* row runs at 512 tickers and the 64-ticker row documents the
     small-population trade-off.
     """
-    walls: dict[str, list[float]] = {"heap": [], "wheel": []}
     events: dict[str, int] = {}
-    for _ in range(repeats):
-        for cal in ("heap", "wheel"):
-            wall, ev = _dispatch_once(cal, n_tickers, horizon_us)
-            walls[cal].append(wall)
-            events[cal] = ev
+
+    def one(cal: str) -> float:
+        wall, events[cal] = _dispatch_once(cal, n_tickers, horizon_us)
+        return wall
+
+    walls = _interleaved_min(one, ("heap", "wheel"), repeats)
     out = {}
     for cal in ("heap", "wheel"):
-        best = min(walls[cal])
+        best = walls[cal]
         out[cal] = {
             "events": events[cal],
             "wall_s": best,
@@ -276,9 +294,8 @@ def bench_kernel(quick: bool = False) -> tuple[dict, dict]:
 
 
 def bench_cluster(quick: bool = False, seed: int = 42) -> dict:
-    """Wall-clock of the 100-node churn sweep: heap vs wheel vs
-    wheel + quiescent tick coalescing, with byte-identity across all
-    three reports."""
+    """Wall-clock of the 100-node churn sweep: heap vs wheel, with
+    byte-identity across both reports."""
     import os
 
     from repro.analysis.export import canonical_dumps
@@ -289,12 +306,12 @@ def bench_cluster(quick: bool = False, seed: int = 42) -> dict:
     kw = dict(policy="score", n_nodes=CLUSTER_NODES, n_jobs=n_jobs,
               duration_us=duration_us, seed=seed)
 
-    def one(calendar: str, coalesce: int) -> tuple[float, str]:
+    def one(calendar: str) -> tuple[float, str]:
         prev = os.environ.get("REPRO_SIM_CALENDAR")
         os.environ["REPRO_SIM_CALENDAR"] = calendar
         try:
             t0 = time.perf_counter()
-            report = run_cluster_sweep(**kw, coalesce_idle_ticks=coalesce)
+            report = run_cluster_sweep(**kw)
             wall = time.perf_counter() - t0
         finally:
             if prev is None:
@@ -303,24 +320,16 @@ def bench_cluster(quick: bool = False, seed: int = 42) -> dict:
                 os.environ["REPRO_SIM_CALENDAR"] = prev
         return wall, canonical_dumps(report)
 
-    heap_wall, heap_bytes = one("heap", 1)
-    wheel_wall, wheel_bytes = one("wheel", 1)
-    co_wall, co_bytes = one("wheel", CLUSTER_COALESCE)
+    heap_wall, heap_bytes = one("heap")
+    wheel_wall, wheel_bytes = one("wheel")
     return {
         "n_nodes": CLUSTER_NODES,
         "n_jobs": n_jobs,
         "duration_us": duration_us,
         "seed": seed,
-        "coalesce_idle_ticks": CLUSTER_COALESCE,
         "heap_wall_s": heap_wall,
         "wheel_wall_s": wheel_wall,
-        "wheel_coalesced_wall_s": co_wall,
-        "coalesced_speedup_vs_heap": (
-            heap_wall / co_wall if co_wall > 0 else None
-        ),
-        "identical_reports": (
-            heap_bytes == wheel_bytes == co_bytes
-        ),
+        "identical_reports": heap_bytes == wheel_bytes,
     }
 
 
@@ -389,13 +398,13 @@ def bench_cluster_rate(quick: bool = False, seed: int = 42) -> dict:
         cluster.stop_daemons()
         return wall, ticks + scans[0] * CLUSTER_NODES
 
-    walls: dict[str, list[float]] = {"scalar": [], "vectorized": []}
     n_events: dict[str, int] = {}
-    for _ in range(repeats):
-        for mode in ("scalar", "vectorized"):
-            wall, events = with_mode(mode, one_rate)
-            walls[mode].append(wall)
-            n_events[mode] = events
+
+    def one(mode: str) -> float:
+        wall, n_events[mode] = with_mode(mode, one_rate)
+        return wall
+
+    walls = _interleaved_min(one, ("scalar", "vectorized"), repeats)
 
     def one_sweep() -> tuple[float, str]:
         t0 = time.perf_counter()
@@ -431,7 +440,7 @@ def bench_cluster_rate(quick: bool = False, seed: int = 42) -> dict:
         },
     }
     for mode in ("scalar", "vectorized"):
-        wall = min(walls[mode])
+        wall = walls[mode]
         record[mode] = {
             "wall_s": wall,
             "events": n_events[mode],
@@ -447,19 +456,21 @@ def bench_cluster_rate(quick: bool = False, seed: int = 42) -> dict:
 
 def bench_dispatch_core(parallel: int = 8, quick: bool = False,
                         seed: int = 42) -> dict:
-    """The async dispatch core vs the static pool, plus executor identity.
+    """LPT vs FIFO order on one dispatch core, plus executor identity.
 
     Two measurements:
 
     * **skewed_mix** -- a pile of short colocation cells with one long
-      cell appended *last*.  The static pool dispatches in input order,
-      so the long cell starts only after every short one has been handed
-      out and the tail of the run is one worker grinding alone; the
-      dispatch core's cost model puts the long cell first and back-fills
-      the short ones around it.  With ``W`` seconds of short work sized
-      at ``0.8 * (workers - 1) * heavy_wall``, the expected ratio is
-      ``1 + 0.8 * (workers - 1) / workers`` (1.4x at two workers, 1.6x
-      at four) against the CI floor of 1.3x.  Arms are interleaved and
+      cell appended *last*, run twice over the same pool executor.  The
+      *fifo* arm feeds the dispatch core ``cost_hints`` that rank the
+      cells in input order, so the long cell starts only after every
+      short one has been handed out and the tail of the run is one
+      worker grinding alone; the *lpt* arm lets the cost model put the
+      long cell first and back-fill the short ones around it.  With
+      ``W`` seconds of short work sized at ``0.8 * (workers - 1) *
+      heavy_wall``, the expected ratio is ``1 + 0.8 * (workers - 1) /
+      workers`` (1.4x at two workers, 1.6x at four) against the CI
+      floor of 1.3x.  Arms are interleaved and
       min-of-``repeats``; both arms' merged reports must be
       byte-identical.  The pool is clamped to ``os.cpu_count()``:
       oversubscribed workers timeshare the long cell and measure the OS
@@ -477,7 +488,7 @@ def bench_dispatch_core(parallel: int = 8, quick: bool = False,
     """
     import os
 
-    from repro.runner.aggregate import ExperimentRequest
+    from repro.runner.aggregate import ExperimentRequest, expand_request
 
     eff = max(1, min(parallel, os.cpu_count() or 1))
     heavy_us = 100_000.0 if quick else 200_000.0
@@ -507,25 +518,27 @@ def bench_dispatch_core(parallel: int = 8, quick: bool = False,
     requests = [colo(cheap_us, seed + 10 + i) for i in range(n_cheap)]
     requests.append(colo(heavy_us, seed + 1))
 
-    def one_mix(dispatch: str) -> tuple[float, bytes]:
+    # input order as expected cost: the first request ranks longest.
+    fifo_hints = {
+        cell.cell_id: float(len(requests) - i)
+        for i, req in enumerate(requests)
+        for _role, cell in expand_request(req)
+    }
+    blobs: dict[str, bytes] = {}
+
+    def one_mix(arm: str) -> float:
         runner = ExperimentRunner(
             parallel=eff,
-            dispatch=dispatch,
-            executor="pool" if dispatch == "core" else None,
+            executor="pool",
             speculate=0,
+            cost_hints=fifo_hints if arm == "fifo" else None,
         )
         report = runner.run(requests)
-        return report.wall_s, report.merged_bytes()
+        blobs[arm] = report.merged_bytes()
+        return report.wall_s
 
-    walls: dict[str, list[float]] = {"static": [], "core": []}
-    blobs: dict[str, bytes] = {}
-    for _ in range(repeats):
-        for arm in ("static", "core"):
-            wall, blob = one_mix(arm)
-            walls[arm].append(wall)
-            blobs[arm] = blob
-    static_wall = min(walls["static"])
-    core_wall = min(walls["core"])
+    walls = _interleaved_min(one_mix, ("fifo", "lpt"), repeats)
+    fifo_wall, lpt_wall = walls["fifo"], walls["lpt"]
 
     shard_req = [
         ExperimentRequest.make(
@@ -568,10 +581,10 @@ def bench_dispatch_core(parallel: int = 8, quick: bool = False,
             "cheap_wall_s": cheap_wall,
             "heavy_wall_s": heavy_wall,
             "repeats": repeats,
-            "static_wall_s": static_wall,
-            "core_wall_s": core_wall,
-            "speedup": static_wall / core_wall if core_wall > 0 else None,
-            "identical_merged_results": blobs["static"] == blobs["core"],
+            "fifo_wall_s": fifo_wall,
+            "lpt_wall_s": lpt_wall,
+            "speedup": fifo_wall / lpt_wall if lpt_wall > 0 else None,
+            "identical_merged_results": blobs["fifo"] == blobs["lpt"],
         },
         "sharded_sweep": {
             "n_nodes": 1000,
@@ -648,12 +661,8 @@ def bench_fault_overhead(duration_us: float = 50_000.0, repeats: int = 5,
         holmes.stop()
         return wall
 
-    walls: dict[bool, list[float]] = {False: [], True: []}
-    for _ in range(repeats):
-        for hooked in (False, True):
-            walls[hooked].append(one(hooked))
-    plain = min(walls[False])
-    hooked = min(walls[True])
+    walls = _interleaved_min(one, (False, True), repeats)
+    plain, hooked = walls[False], walls[True]
     return {
         "duration_us": duration_us,
         "repeats": repeats,
@@ -718,17 +727,13 @@ def bench_resilience_overhead(quick: bool = False, seed: int = 42,
         runner.run(requests)
         return time.perf_counter() - t0
 
-    walls: dict[bool, list[float]] = {False: [], True: []}
     with _tempfile.TemporaryDirectory(prefix="repro-resilience-") as tmp:
         journal_path = os.path.join(tmp, "journal.jsonl")
-        # warm both arms once (imports, pool spawn) outside the timing.
-        one(False, journal_path)
-        one(True, journal_path)
-        for _ in range(repeats):
-            for resilient in (False, True):
-                walls[resilient].append(one(resilient, journal_path))
-    plain = min(walls[False])
-    resilient = min(walls[True])
+        walls = _interleaved_min(
+            lambda resilient: one(resilient, journal_path),
+            (False, True), repeats, warm=True,
+        )
+    plain, resilient = walls[False], walls[True]
     return {
         "duration_us": duration_us,
         "n_cells": n_cells,
@@ -771,14 +776,8 @@ def bench_obs_overhead(duration_us: float = 50_000.0, repeats: int = 5,
         holmes.stop()
         return wall
 
-    arms = (None, "none", "all")
-    walls: dict = {arm: [] for arm in arms}
-    for _ in range(repeats):
-        for arm in arms:
-            walls[arm].append(one(arm))
-    plain = min(walls[None])
-    disabled = min(walls["none"])
-    enabled = min(walls["all"])
+    walls = _interleaved_min(one, (None, "none", "all"), repeats)
+    plain, disabled, enabled = walls[None], walls["none"], walls["all"]
     return {
         "duration_us": duration_us,
         "repeats": repeats,
@@ -834,16 +833,12 @@ def bench_runner_obs_overhead(quick: bool = False, seed: int = 42,
         runner.run(requests)
         return time.perf_counter() - t0
 
-    arms = ("plain", "disabled", "enabled")
-    walls: dict[str, list[float]] = {arm: [] for arm in arms}
-    for arm in arms:  # warm pools and imports outside the timing
-        one(arm)
-    for _ in range(repeats):
-        for arm in arms:
-            walls[arm].append(one(arm))
-    plain = min(walls["plain"])
-    disabled = min(walls["disabled"])
-    enabled = min(walls["enabled"])
+    walls = _interleaved_min(
+        one, ("plain", "disabled", "enabled"), repeats, warm=True
+    )
+    plain, disabled, enabled = (
+        walls["plain"], walls["disabled"], walls["enabled"]
+    )
     return {
         "duration_us": duration_us,
         "n_cells": n_cells,
@@ -910,17 +905,6 @@ def bench_profiling(quick: bool = False, seed: int = 42) -> dict:
         "pair_evals": n_evals,
         "pair_eval_per_s": n_evals / eval_wall if eval_wall > 0 else None,
     }
-
-
-def bench_event_loop(n_timers: int = EVENT_LOOP_TIMERS_QUICK,
-                     horizon_us: Optional[float] = None) -> dict:
-    """Back-compat shim: the wheel-kernel timer flood at one population."""
-    target = (
-        int(n_timers * _MEAN_INV_PERIOD * horizon_us)
-        if horizon_us is not None
-        else 250_000
-    )
-    return bench_timer_flood("wheel", n_timers, max(target, 1))
 
 
 def bench_sweep(duration_us: float = BENCH_DURATION_US,

@@ -127,8 +127,7 @@ class DispatchCore:
 
     ``run`` returns ``(payload, compute_seconds)`` pairs aligned with
     the input cell list.  Duplicate cells (the legacy ``dedupe=False``
-    path) are independent slots and each executes once, exactly like
-    the static runner.
+    path) are independent slots and each executes once.
 
     ``local_retry`` is the parent-side backfill: called with (cell,
     last_error) when a remote attempt failed, it must either return a

@@ -317,7 +317,7 @@ class SweepJournal:
 
     One record per line, ``{"rec": <type>, ...}``:
 
-    ``start``    sweep metadata (executor, dispatch, parallel, n_cells)
+    ``start``    sweep metadata (executor, parallel, n_cells)
     ``plan``     one planned cell (``cell``)
     ``cached``   a cell served from the result cache
     ``done``     a cell completed (``cell``, ``compute_s``)

@@ -17,12 +17,9 @@ workers pull work as they free up, results stream back and are written
 through to the cache as they land, and failed remote attempts are
 backfilled in the parent with the bounded retry budget.
 
-``dispatch="static"`` keeps the legacy submit-everything-up-front
-process-pool path (with streaming crash backfill) as the baseline the
-dispatch core is benchmarked against.  ``dedupe=False`` reproduces the
-legacy serial behaviour (every experiment recomputes its own cells,
-duplicates and all); the bench harness uses it as the baseline the
-runner is measured against.
+``dedupe=False`` reproduces the legacy serial behaviour (every
+experiment recomputes its own cells, duplicates and all); the bench
+harness uses it as the baseline the runner is measured against.
 
 Resilience (:mod:`repro.runner.resilience`) threads through here: one
 :class:`RetryPolicy` drives the parent retry loop *and* the transport
@@ -37,7 +34,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -54,12 +50,9 @@ from repro.runner.dispatch import CostModel, DispatchCore
 from repro.runner.executors import EXECUTORS, ExecutorError, make_executor
 from repro.runner.resilience import ChaosFault, RetryPolicy, SweepJournal
 
-#: dispatch strategies accepted by the runner / CLI.
-DISPATCH_MODES = ("core", "static")
-
 
 def _execute_cell_worker(args: tuple) -> tuple[dict, float]:
-    """Module-level worker body (must be picklable for the pool)."""
+    """Execute one cell from its ``(kind, params, seed)`` tuple, timed."""
     kind, params, seed = args
     t0 = time.perf_counter()
     payload = execute_cell(Cell.make(kind, params, seed))
@@ -112,11 +105,8 @@ class ExperimentRunner:
 
     ``executor`` picks the transport (``"inprocess"``, ``"pool"``,
     ``"socket"``); None means pool when ``parallel > 1``, in-process
-    otherwise.  ``dispatch`` picks the strategy: ``"core"`` (the
-    cost-ordered dispatch core, default) or ``"static"`` (the legacy
-    submit-everything pool path, kept as the bench baseline).
-    ``cost_hints`` maps cell_id -> expected seconds (e.g. a previous
-    report's ``timings``) and seeds the cost model's ordering.
+    otherwise.  ``cost_hints`` maps cell_id -> expected seconds (e.g. a
+    previous report's ``timings``) and seeds the cost model's ordering.
 
     ``retry_policy`` overrides the legacy ``cell_retries`` knob with a
     full :class:`~repro.runner.resilience.RetryPolicy` (attempts,
@@ -125,8 +115,7 @@ class ExperimentRunner:
     :class:`~repro.runner.resilience.SweepJournal`) records the sweep
     as crash-safe JSONL; ``resume=True`` restarts a killed sweep over
     that journal plus the cache, re-executing only unfinished cells;
-    ``chaos_plan`` injects deterministic transport faults (dispatch
-    core only).
+    ``chaos_plan`` injects deterministic transport faults.
     """
 
     def __init__(
@@ -137,7 +126,6 @@ class ExperimentRunner:
         cell_retries: int = 2,
         obs=None,
         executor: Optional[str] = None,
-        dispatch: str = "core",
         speculate: int = 1,
         cost_hints: Optional[dict] = None,
         retry_policy: Optional[RetryPolicy] = None,
@@ -157,20 +145,6 @@ class ExperimentRunner:
             raise ValueError(
                 f"unknown executor {executor!r}: expected one of {EXECUTORS}"
             )
-        if dispatch not in DISPATCH_MODES:
-            raise ValueError(
-                f"unknown dispatch {dispatch!r}: "
-                f"expected one of {DISPATCH_MODES}"
-            )
-        if dispatch == "static" and executor not in (None, "pool"):
-            raise ValueError(
-                "static dispatch only runs over the process pool; "
-                f"got executor={executor!r}"
-            )
-        if chaos_plan is not None and dispatch != "core":
-            raise ValueError(
-                "chaos_plan needs the dispatch core (dispatch='core')"
-            )
         if resume and journal is None:
             raise ValueError("resume=True needs a journal to resume from")
         if resume and cache is None:
@@ -183,7 +157,6 @@ class ExperimentRunner:
         self.dedupe = dedupe
         self.cell_retries = cell_retries
         self.executor_spec = executor
-        self.dispatch = dispatch
         self.speculate = max(0, int(speculate))
         self.cost_hints = dict(cost_hints or {})
         self.retry_policy = retry_policy or RetryPolicy.from_cell_retries(
@@ -216,39 +189,6 @@ class ExperimentRunner:
     def _journal_rec(self, record: dict) -> None:
         if self._journal is not None:
             self._journal.append(record)
-
-    # -- legacy static path (the bench baseline) -------------------------
-
-    def _run_one(self, cell: Cell, arg: tuple) -> tuple[dict, float]:
-        """Execute one cell in-process, with the policy's retry budget."""
-        return self._backfill(cell, None, self.retry_policy.max_attempts)
-
-    def _run_parallel(
-        self, cells: list[Cell], args: list[tuple]
-    ) -> list[tuple[dict, float]]:
-        """Fan cells over a static process pool; backfill crashes eagerly.
-
-        A worker that dies (e.g. ``os._exit`` mid-cell) poisons the whole
-        ``ProcessPoolExecutor`` -- every outstanding future raises
-        ``BrokenProcessPool``.  Rather than losing the sweep, each failed
-        slot is recomputed in the parent *as soon as its future resolves*
-        (streaming collection, no head-of-line wait for the full batch);
-        only a cell that keeps failing there raises
-        :class:`CellExecutionError`.
-        """
-        results: list = [None] * len(args)
-        with ProcessPoolExecutor(max_workers=self.parallel) as pool:
-            futures = {
-                pool.submit(_execute_cell_worker, a): i
-                for i, a in enumerate(args)
-            }
-            for fut in as_completed(futures):
-                i = futures[fut]
-                try:
-                    results[i] = fut.result()
-                except Exception:  # noqa: BLE001 - backfilled in-parent
-                    results[i] = self._run_one(cells[i], args[i])
-        return results
 
     # -- dispatch-core path ----------------------------------------------
 
@@ -495,7 +435,6 @@ class ExperimentRunner:
                 "executor": self.executor_spec or (
                     "pool" if self.parallel > 1 else "inprocess"
                 ),
-                "dispatch": self.dispatch,
                 "parallel": self.parallel,
                 "n_cells": len(unique),
             })
@@ -517,7 +456,7 @@ class ExperimentRunner:
                 })
         if to_run:
             self._emit("dispatch", t0, n_cells=len(to_run),
-                       parallel=self.parallel, dispatch=self.dispatch)
+                       parallel=self.parallel)
             progress = (
                 SweepProgress(len(to_run)) if self.progress else None
             )
@@ -552,20 +491,9 @@ class ExperimentRunner:
                     )
 
             try:
-                if self.dispatch == "core":
-                    self._run_dispatch(
-                        to_run, cost_model, on_result, progress=progress
-                    )
-                else:
-                    args = [(c.kind, c.param_dict, c.seed) for c in to_run]
-                    if self.parallel > 1:
-                        results = self._run_parallel(to_run, args)
-                    else:
-                        results = [
-                            self._run_one(c, a) for c, a in zip(to_run, args)
-                        ]
-                    for cell, (payload, secs) in zip(to_run, results):
-                        on_result(cell, payload, secs)
+                self._run_dispatch(
+                    to_run, cost_model, on_result, progress=progress
+                )
             finally:
                 if progress is not None:
                     progress.close()

@@ -69,17 +69,6 @@ class HeapEnvironment(Environment):
         event._entry = entry
         _heappush(self._heap, entry)
 
-    def _schedule_at(self, event: Event, t: float,
-                     priority: int = NORMAL) -> None:
-        t = float(t)
-        if t < self._now:
-            raise SimulationError(f"schedule_at({t}) is in the past "
-                                  f"(now={self._now})")
-        self._seq = seq = self._seq + 1
-        entry = [t, priority, seq, event]
-        event._entry = entry
-        _heappush(self._heap, entry)
-
     def peek(self) -> float:
         heap = self._heap
         while heap and heap[0][3] is None:
@@ -207,10 +196,10 @@ class WheelEnvironment(Environment):
     def _place(self, entry: list) -> None:
         """File an entry by its bucket index (slow/shared path).
 
-        ``_schedule``/``_schedule_at`` inline this body: the schedule
-        path runs once per event and the extra call frame was measurable
-        on dispatch-bound workloads (manual ``rearm()`` loops).  Keep the
-        three copies in sync.
+        ``_schedule`` inlines this body: the schedule path runs once per
+        event and the extra call frame was measurable on dispatch-bound
+        workloads (manual ``rearm()`` loops).  Keep the two copies in
+        sync.
         """
         idx = int(entry[0] / self._W)
         d = idx - self._k
@@ -237,31 +226,6 @@ class WheelEnvironment(Environment):
                   delay: float = 0.0) -> None:
         self._seq = seq = self._seq + 1
         t = self._now + delay
-        entry = [t, priority, seq, event]
-        event._entry = entry
-        # inlined _place (hot path)
-        idx = int(t / self._W)
-        d = idx - self._k
-        if d <= 0:
-            cur = self._cur
-            if len(cur) == self._pos or cur[-1] < entry:
-                cur.append(entry)
-            else:
-                _insort(cur, entry, self._pos)
-        elif d < self._N:
-            self._buckets[idx & self._mask].append(entry)
-            self._nwheel += 1
-        else:
-            _heappush(self._overflow, entry)
-        self._n += 1
-
-    def _schedule_at(self, event: Event, t: float,
-                     priority: int = NORMAL) -> None:
-        t = float(t)
-        if t < self._now:
-            raise SimulationError(f"schedule_at({t}) is in the past "
-                                  f"(now={self._now})")
-        self._seq = seq = self._seq + 1
         entry = [t, priority, seq, event]
         event._entry = entry
         # inlined _place (hot path)

@@ -211,18 +211,6 @@ class RecurringTimeout(Event):
         """Lazily drop the pending firing from the calendar."""
         return self.env.cancel(self)
 
-    def skip_to(self, t: float) -> None:
-        """Move the pending firing to absolute time ``t``.
-
-        Used by quiescent tick coalescing: the pending entry is cancelled
-        and the timer re-armed at ``t`` exactly (no ``now + delta``
-        rounding), after which auto re-arming continues from ``t``.
-        """
-        self.env.cancel(self)
-        if self.callbacks is None:
-            self.callbacks = []
-        self.env._schedule_at(self, t)
-
 
 class Initialize(Event):
     """Internal: first resumption of a freshly created process."""
@@ -439,7 +427,7 @@ class Environment:
     environment variable, then :data:`DEFAULT_CALENDAR`.  The concrete
     kernels (:class:`~repro.sim.calendar.HeapEnvironment`,
     :class:`~repro.sim.calendar.WheelEnvironment`) implement
-    ``_schedule``/``_schedule_at``/``peek``/``step``/``run`` and share
+    ``_schedule``/``peek``/``step``/``run`` and share
     everything else from this base class.
     """
 
@@ -492,11 +480,6 @@ class Environment:
 
     def _schedule(self, event: Event, priority: int = NORMAL,
                   delay: float = 0.0) -> None:
-        raise NotImplementedError
-
-    def _schedule_at(self, event: Event, t: float,
-                     priority: int = NORMAL) -> None:
-        """Schedule at absolute time ``t`` (no ``now + delay`` rounding)."""
         raise NotImplementedError
 
     def cancel(self, event: Event) -> bool:

@@ -401,8 +401,8 @@ def _dispatch_section(workers: int, speedup: float) -> dict:
         "effective_workers": workers,
         "skewed_mix": {
             "n_cheap": 8,
-            "static_wall_s": 1.0,
-            "core_wall_s": 1.0 / speedup,
+            "fifo_wall_s": 1.0,
+            "lpt_wall_s": 1.0 / speedup,
             "speedup": speedup,
             "identical_merged_results": True,
         },

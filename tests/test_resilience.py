@@ -209,11 +209,6 @@ def test_resume_validation():
         ExperimentRunner(resume=True)
     with pytest.raises(ValueError, match="cache"):
         ExperimentRunner(journal="journal.jsonl", resume=True)
-    with pytest.raises(ValueError, match="dispatch"):
-        ExperimentRunner(
-            chaos_plan=transport_chaos_plan(kill_rate=0.1),
-            dispatch="static",
-        )
 
 
 def test_resume_reuses_cache_and_recomputes_only_unfinished(tmp_path):

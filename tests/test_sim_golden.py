@@ -3,10 +3,13 @@
 ``tests/golden/sim_digests.json`` holds the sha256 of
 ``canonical_dumps(payload)`` for a fixed set of short cells, one per
 simulator path that ``bench/golden/digests.json`` leaves uncovered:
-the Heracles and Parties baselines, the observability plane's quanta
-export, threads killed mid-op by injected container crashes, the
-microbenchmark and HPE-selection experiments, and a small
-least-loaded cluster sweep.  Every entry names the path it covers.
+the Heracles baseline beside a live service, the Parties DVFS ladder
+(only through the convergence stimulus; ``parties`` is not a
+co-location setting), the observability plane's quanta export, threads
+killed mid-op by injected container crashes, the microbenchmark and
+HPE-selection experiments, a small least-loaded cluster sweep, and a
+chaos sweep whose failed node's daemon is stopped and restarted.
+Every entry names the path it covers.
 
 The test recomputes every cell under both calendar kernels, so a
 change that moves one payload byte on either kernel fails here with
@@ -118,6 +121,17 @@ def cells() -> dict[str, dict]:
                 "duration_us": 20_000.0,
             },
             "covers": "8-node cluster sweep, least-loaded placement",
+        },
+        "cluster_sweep/score-4-chaos": {
+            "kind": "cluster_sweep",
+            "params": {
+                "policy": "score",
+                "n_nodes": 4,
+                "n_jobs": 12,
+                "duration_us": 150_000.0,
+                "faults": _chaos_faults(),
+            },
+            "covers": "node fail-stop and recovery: daemon restart, resubmission",
         },
     }
 
