@@ -41,6 +41,13 @@ class ContentionModel:
 
     def __init__(self, config: HWConfig):
         self.config = config
+        # the constants every quantum reads, resolved once
+        self._mem_on_mem = config.smt_mem_on_mem
+        self._comp_on_mem = config.smt_comp_on_mem
+        self._comp_on_comp = config.smt_comp_on_comp
+        self._mem_on_comp = config.smt_mem_on_comp
+        self._knee = config.bandwidth_knee_streams
+        self._slope = config.bandwidth_slope
         #: number of logical CPUs currently streaming DRAM, maintained by
         #: the server as ops start and stop.
         self.active_dram_streams = 0
@@ -49,14 +56,12 @@ class ContentionModel:
 
     def mem_latency_multiplier(self, sibling: CpuKind) -> float:
         """Multiplier on DRAM line latency given the sibling's activity."""
-        c = self.config
-        return 1.0 + c.smt_mem_on_mem * sibling.mem + c.smt_comp_on_mem * sibling.comp
+        return 1.0 + self._mem_on_mem * sibling.mem + self._comp_on_mem * sibling.comp
 
     def comp_latency_multiplier(self, sibling: CpuKind) -> float:
         """Multiplier on compute-burst duration given sibling activity."""
-        c = self.config
         return (
-            1.0 + c.smt_comp_on_comp * sibling.comp + c.smt_mem_on_comp * sibling.mem
+            1.0 + self._comp_on_comp * sibling.comp + self._mem_on_comp * sibling.mem
         )
 
     # -- aggregate bandwidth --------------------------------------------------
@@ -69,11 +74,10 @@ class ContentionModel:
         hardware threads' realistic concurrency so Fig. 2 cases 4/5 show no
         bandwidth effect, matching the paper's finding.
         """
-        c = self.config
-        excess = self.active_dram_streams - c.bandwidth_knee_streams
+        excess = self.active_dram_streams - self._knee
         if excess <= 0:
             return 1.0
-        return 1.0 + c.bandwidth_slope * excess
+        return 1.0 + self._slope * excess
 
     def stream_started(self) -> None:
         self.active_dram_streams += 1

@@ -81,9 +81,6 @@ class CounterSnapshot:
 class CounterEngine:
     """Accumulates event counts for every logical CPU of a server."""
 
-    #: the noisy events, in the order account_mem() draws their noise.
-    _NOISE_SMA, _NOISE_CMA, _NOISE_SL3, _NOISE_CL3 = range(4)
-
     def __init__(
         self,
         config: HWConfig,
@@ -109,9 +106,17 @@ class CounterEngine:
                 f"external counter storage must have shape "
                 f"{(n_lcpus, len(codes))}, got {values.shape}"
             )
+        elif values.dtype != np.float64 or not values.flags.c_contiguous:
+            raise ValueError(
+                "external counter storage must be a C-contiguous float64 array"
+            )
         self._values = values
-        # the accrued columns, resolved once (every quantum writes them)
-        self._cols = tuple(
+        # every quantum accrues through a flat view of the same memory: a
+        # Python-float add into a memoryview is bit-identical to numpy's
+        # scalar +=, at under half the cost.  For each lcpu, the flat
+        # indices of the accrued columns, in account_mem()'s write order.
+        self._flat = memoryview(values).cast("B").cast("d")
+        cols = [
             self._idx[e.code]
             for e in (
                 INSTR_LOAD,
@@ -122,7 +127,11 @@ class CounterEngine:
                 STALLS_L3_MISS,
                 CYCLES_L3_MISS,
             )
-        )
+        ]
+        width = len(codes)
+        self._accrue_at = [
+            tuple(lcpu * width + col for col in cols) for lcpu in range(n_lcpus)
+        ]
         # time-correlated noise: a flat list of plain floats holding the
         # current factor and its expiry for each (lcpu, noisy event), at
         # 8 * lcpu + 2 * which and the slot after it
@@ -133,9 +142,30 @@ class CounterEngine:
             config.stalls_l3_miss_noise,
             config.cycles_l3_miss_noise,
         )
+        # the model constants every quantum reads, resolved once
+        self._noise_us = config.noise_correlation_us
+        self._stores_per_line = config.stores_per_line
+        self._overhead_instr = config.overhead_instr_per_line
+        self._line_cycles = config.dram_line_latency_cycles
+        self._base_stall = config.base_stall_fraction
+        self._stall_beta = config.contention_stall_beta
+        self._hit_stall = config.hit_stall_cycles
+        self._cma_overlap = config.cycles_mem_any_overlap
+        self._cma_per_line = config.cycles_mem_any_per_line
+        self._sl3_scale = config.stalls_l3_miss_scale
+        self._cl3_per_miss = config.cycles_l3_miss_per_miss
+        self._cl3_exp = config.cycles_l3_miss_contention_exp
+        self._ipc = config.compute_ipc
+        self._load_frac = config.compute_load_frac
+        self._store_frac = config.compute_store_frac
+        self._stall_frac = config.compute_stall_frac
 
     def _slow_noise(self, lcpu: int, which: int, now: float) -> float:
-        """Multiplicative jitter, redrawn every noise_correlation_us."""
+        """Multiplicative jitter, redrawn every noise_correlation_us.
+
+        account_mem() reads an unexpired factor inline and calls this only
+        once it has expired, so the RNG draws keep their order.
+        """
         sigma = self._noise_sigma[which]
         if sigma <= 0.0:
             return 1.0
@@ -143,7 +173,7 @@ class CounterEngine:
         i = 8 * lcpu + 2 * which
         if now >= noise[i + 1]:
             noise[i] = max(0.05, float(self.rng.normal(1.0, sigma)))
-            noise[i + 1] = now + self.config.noise_correlation_us
+            noise[i + 1] = now + self._noise_us
         return noise[i]
 
     # -- accrual -------------------------------------------------------------
@@ -163,74 +193,72 @@ class CounterEngine:
         the contention model applied to this burst (1.0 = uncontended);
         ``now`` drives the slow (time-correlated) jitter.
         """
-        c = self.config
         if store_frac is None:
-            store_frac = c.stores_per_line
+            store_frac = self._stores_per_line
         misses = lines * dram_frac
         hits = lines - misses
 
         loads = lines
         stores = lines * store_frac
-        instructions = lines * (1.0 + store_frac + c.overhead_instr_per_line)
+        instructions = lines * (1.0 + store_frac + self._overhead_instr)
 
-        line_cycles = c.dram_line_latency_cycles
         # Added (contention) latency converts into stall at beta >= 1:
         # replayed loads and retried fills stall the pipeline more than the
         # end-to-end latency increase alone suggests.
-        stall_per_miss = line_cycles * (
-            c.base_stall_fraction + c.contention_stall_beta * (latency_mult - 1.0)
+        stall_per_miss = self._line_cycles * (
+            self._base_stall + self._stall_beta * (latency_mult - 1.0)
         )
-        stalls_mem = misses * stall_per_miss + hits * c.hit_stall_cycles
-        stalls_mem *= self._slow_noise(lcpu, self._NOISE_SMA, now)
+        # the slow noise factors, (factor, expiry) pairs at 8 * lcpu for
+        # SMA, CMA, SL3 and CL3: read inline while current, redrawn in this
+        # order once expired
+        noise = self._noise
+        i = 8 * lcpu
+        sma = noise[i] if now < noise[i + 1] else self._slow_noise(lcpu, 0, now)
+        cma = noise[i + 2] if now < noise[i + 3] else self._slow_noise(lcpu, 1, now)
+        sl3 = noise[i + 4] if now < noise[i + 5] else self._slow_noise(lcpu, 2, now)
+        cl3 = noise[i + 6] if now < noise[i + 7] else self._slow_noise(lcpu, 3, now)
+
+        stalls_mem = misses * stall_per_miss + hits * self._hit_stall
+        stalls_mem *= sma
 
         cycles_mem = (
-            stalls_mem * (1.0 + c.cycles_mem_any_overlap)
-            + lines * c.cycles_mem_any_per_line
+            stalls_mem * (1.0 + self._cma_overlap) + lines * self._cma_per_line
         )
-        cycles_mem *= self._slow_noise(lcpu, self._NOISE_CMA, now)
+        cycles_mem *= cma
 
-        stalls_l3 = (
-            misses
-            * stall_per_miss
-            * c.stalls_l3_miss_scale
-            * self._slow_noise(lcpu, self._NOISE_SL3, now)
-        )
+        stalls_l3 = misses * stall_per_miss * self._sl3_scale * sl3
 
         # The 0x02A3 quirk: per-miss attribution shrinks under contention.
         cycles_l3 = (
-            misses
-            * c.cycles_l3_miss_per_miss
-            * latency_mult**c.cycles_l3_miss_contention_exp
-            * self._slow_noise(lcpu, self._NOISE_CL3, now)
+            misses * self._cl3_per_miss * latency_mult**self._cl3_exp * cl3
         )
 
-        row = self._values[lcpu]
-        i_load, i_store, i_any, i_sma, i_cma, i_sl3, i_cl3 = self._cols
-        row[i_load] += loads
-        row[i_store] += stores
-        row[i_any] += instructions
-        row[i_sma] += stalls_mem
-        row[i_cma] += cycles_mem
-        row[i_sl3] += stalls_l3
-        row[i_cl3] += cycles_l3
+        v = self._flat
+        i_load, i_store, i_any, i_sma, i_cma, i_sl3, i_cl3 = self._accrue_at[lcpu]
+        v[i_load] += loads
+        v[i_store] += stores
+        v[i_any] += instructions
+        v[i_sma] += stalls_mem
+        v[i_cma] += cycles_mem
+        v[i_sl3] += stalls_l3
+        v[i_cl3] += cycles_l3
 
     def account_compute(self, lcpu: int, cycles: float) -> None:
         """Charge counters for a compute burst of ``cycles`` on ``lcpu``."""
-        c = self.config
-        instructions = cycles * c.compute_ipc
-        loads = instructions * c.compute_load_frac
-        stores = instructions * c.compute_store_frac
-        stalls = cycles * c.compute_stall_frac
+        instructions = cycles * self._ipc
+        loads = instructions * self._load_frac
+        stores = instructions * self._store_frac
+        stalls = cycles * self._stall_frac
 
-        row = self._values[lcpu]
-        i_load, i_store, i_any, i_sma, i_cma, i_sl3, i_cl3 = self._cols
-        row[i_load] += loads
-        row[i_store] += stores
-        row[i_any] += instructions
-        row[i_sma] += stalls
-        row[i_cma] += stalls * 1.3
-        row[i_sl3] += stalls * 0.2
-        row[i_cl3] += stalls * 0.1
+        v = self._flat
+        i_load, i_store, i_any, i_sma, i_cma, i_sl3, i_cl3 = self._accrue_at[lcpu]
+        v[i_load] += loads
+        v[i_store] += stores
+        v[i_any] += instructions
+        v[i_sma] += stalls
+        v[i_cma] += stalls * 1.3
+        v[i_sl3] += stalls * 0.2
+        v[i_cl3] += stalls * 0.1
 
     # -- reading ----------------------------------------------------------------
 

@@ -75,7 +75,19 @@ class Server:
                 f"external busy storage must have shape {(n,)}, "
                 f"got {busy_values.shape}"
             )
+        elif busy_values.dtype != np.float64 or not busy_values.flags.c_contiguous:
+            raise ValueError(
+                "external busy storage must be a C-contiguous float64 array"
+            )
         self.busy_us = busy_values
+        # quanta accrue busy time through a view of the same memory (see
+        # CounterEngine._flat)
+        self._busy = memoryview(busy_values)
+        # the model constants every quantum reads, resolved once
+        c = self.config
+        self._cache_hit_us = c.cache_hit_latency_us
+        self._dram_line_us = c.dram_line_latency_us
+        self._cycles_per_us = c.freq_cycles_per_us
 
     # -- DVFS ---------------------------------------------------------------
 
@@ -150,27 +162,26 @@ class Server:
         """
         if max_us <= 0 or lines_remaining <= 0:
             raise ValueError("mem_quantum needs positive work and budget")
-        c = self.config
         now = self.env.now
         sib = self._sibling[lcpu]
         # the sibling's kind window, as kind_of() reads it
         sibling = (
             self._kinds[sib] if now < self._kind_until[sib] + _KIND_GRACE_US else IDLE
         )
-        mult = self.contention.mem_latency_multiplier(
+        contention = self.contention
+        mult = contention.mem_latency_multiplier(
             sibling
-        ) * self.contention.bandwidth_multiplier()
+        ) * contention.bandwidth_multiplier()
         freq = self._lcpu_freq[lcpu]
         # cache hits are core-clocked; DRAM lines are memory-clocked
         per_line_us = (
             1.0 - dram_frac
-        ) * c.cache_hit_latency_us / freq + dram_frac * c.dram_line_latency_us * mult
+        ) * self._cache_hit_us / freq + dram_frac * self._dram_line_us * mult
         lines_possible = max_us / per_line_us
         lines_done = min(lines_remaining, lines_possible)
         duration = lines_done * per_line_us
-        self.counters.account_mem(lcpu, lines_done, dram_frac, mult, store_frac,
-                                  now=now)
-        self.busy_us[lcpu] += duration
+        self.counters.account_mem(lcpu, lines_done, dram_frac, mult, store_frac, now)
+        self._busy[lcpu] += duration
         self._kinds[lcpu] = kind
         self._kind_until[lcpu] = now + duration
         plane = self.data_plane
@@ -187,19 +198,18 @@ class Server:
         """
         if max_us <= 0 or cycles_remaining <= 0:
             raise ValueError("comp_quantum needs positive work and budget")
-        c = self.config
         now = self.env.now
         sib = self._sibling[lcpu]
         sibling = (
             self._kinds[sib] if now < self._kind_until[sib] + _KIND_GRACE_US else IDLE
         )
         mult = self.contention.comp_latency_multiplier(sibling)
-        us_per_cycle = mult / (c.freq_cycles_per_us * self._lcpu_freq[lcpu])
+        us_per_cycle = mult / (self._cycles_per_us * self._lcpu_freq[lcpu])
         cycles_possible = max_us / us_per_cycle
         cycles_done = min(cycles_remaining, cycles_possible)
         duration = cycles_done * us_per_cycle
         self.counters.account_compute(lcpu, cycles_done)
-        self.busy_us[lcpu] += duration
+        self._busy[lcpu] += duration
         self._kinds[lcpu] = kind
         self._kind_until[lcpu] = now + duration
         plane = self.data_plane

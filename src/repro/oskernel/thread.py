@@ -17,8 +17,10 @@ granularity, and an affinity change takes effect at the next quantum
 boundary -- the same migration latency profile as `sched_setaffinity` on
 a real kernel.  A quantum that starts inside the dispatch of the thread's
 own previous timeout, on a free CPU with nothing else due, takes the CPU
-in place rather than through a grant event; the firing order is the
-same either way (DESIGN.md section 9).
+in place rather than through a grant event, and a quantum that ends
+with work left on such a CPU is followed by the next one inside the
+quantum timeout's own callback, without resuming ``exec``; the firing
+order is the same either way (DESIGN.md section 9).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from typing import Callable, Generator, Iterable, Optional, TYPE_CHECKING
 from repro.hw.contention import CpuKind
 from repro.hw.ops import CompOp, DiskOp, MemOp
 from repro.sim import Interrupt
+from repro.sim.core import NORMAL
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.oskernel.process import OSProcess
@@ -88,6 +91,13 @@ class SimThread:
         self._own_timeout = None
         self._kill_requested = False
         self._body = body
+        self._server = system.server
+        #: the reusable quantum timeout (None until the first quantum, and
+        #: after an interrupt left it pending) and its one callback list.
+        self._timer = None
+        self._continuation = [self._quantum_end]
+        #: what exec() parks on while a quantum runs: it never fires.
+        self._park = self.env.event()
         self.sim_proc = self.env.process(self._main(), name=self.name)
 
     @property
@@ -188,9 +198,14 @@ class SimThread:
             raise TypeError(f"unknown op type: {op!r}")
 
         env = self.env
-        server = self.system.server
+        server = self._server
         slots = self.system.cpu_slots
-        quantum = self.quantum_us
+        park = self._park
+        # the op and its quantum, for _start_quantum()
+        self._q_op = op
+        self._q_kind = kind
+        self._q_mem = is_mem
+        self._q_quantum = self.quantum_us
         while remaining > 1e-9:
             self._check_kill()
             lcpu = self._choose_lcpu()
@@ -234,31 +249,90 @@ class SimThread:
             self.state = ThreadState.RUNNING
             self.last_lcpu = lcpu
             server.set_running(lcpu, kind)
-            if is_mem:
-                duration, done = server.mem_quantum(
-                    lcpu, kind, remaining, op.dram_frac, op.store_frac, quantum
-                )
-            else:
-                duration, done = server.comp_quantum(lcpu, kind, remaining, quantum)
-            hook = self.system.quantum_hook
-            if hook is not None:
-                hook(lcpu, self.tid, "mem" if is_mem else "comp",
-                     env.now, duration)
+            self._q_slot = slot
+            self._q_remaining = remaining
+            self._start_quantum(lcpu)
+            self._own_timeout = timer = self._timer
+            # Park until _quantum_end() hands the quantum's timeout back:
+            # it runs back-to-back quanta on this CPU itself, so the
+            # state below may be several quanta on.
             killed = False
-            self._own_timeout = timeout = env.timeout(duration)
             try:
-                yield timeout
+                yield park
             except Interrupt as i:
-                # rare: kill lands mid-quantum; the quantum is already
-                # accounted, so just fold it in and exit
+                # rare: an interrupt lands mid-quantum.  Detach the
+                # continuation (the timeout then fires with no callbacks)
+                # and leave the pending timer behind; the quantum is
+                # already accounted, so just fold it in.
+                timer.callbacks = []
+                self._timer = None
                 killed = i.cause == _KILL
             finally:
                 server.set_idle(lcpu)
                 slot.release(req)
-            remaining -= done
-            self.cputime_us += duration
+            remaining = self._q_remaining - self._q_done
+            self.cputime_us += self._q_duration
             if killed:
                 raise ThreadKilled(self.name)
+
+    def _start_quantum(self, lcpu: int) -> None:
+        """Price the next quantum of the current op on ``lcpu``, which
+        this thread holds, and arm the quantum timer for its end."""
+        remaining = self._q_remaining
+        if self._q_mem:
+            op = self._q_op
+            duration, done = self._server.mem_quantum(
+                lcpu, self._q_kind, remaining, op.dram_frac, op.store_frac,
+                self._q_quantum,
+            )
+        else:
+            duration, done = self._server.comp_quantum(
+                lcpu, self._q_kind, remaining, self._q_quantum
+            )
+        self._q_done = done
+        self._q_duration = duration
+        env = self.env
+        hook = self.system.quantum_hook
+        if hook is not None:
+            hook(lcpu, self.tid, "mem" if self._q_mem else "comp",
+                 env.now, duration)
+        # Scheduled where a fresh Timeout would be, so it takes the same
+        # seq.  The timer is never pending here: dispatch unscheduled it,
+        # or an interrupt replaced it with None.
+        timer = self._timer
+        if timer is None:
+            self._timer = timer = env.timeout(duration)
+        else:
+            env._schedule(timer, NORMAL, duration)
+        timer.callbacks = self._continuation
+
+    def _quantum_end(self, timer) -> None:
+        """The quantum timeout's only callback.
+
+        With work left, no kill requested, the CPU still in the mask, no
+        one queued on it and nothing else due now, exec() would release
+        the CPU, pick it again, seize it in place and price the next
+        quantum in this same dispatch (DESIGN.md section 9): do that
+        here, keeping the CPU.  Otherwise resume exec() with the
+        timeout, as the dispatch itself would.
+        """
+        # dispatch marks the timer processed after this returns; like a
+        # fresh timeout it reads unprocessed while its callbacks run
+        timer._processed = False
+        remaining = self._q_remaining - self._q_done
+        if (
+            remaining > 1e-9
+            and not self._kill_requested
+            and self.last_lcpu in self._affinity
+            and not self._q_slot._queue
+            and self.env.nothing_due_now()
+        ):
+            self._q_remaining = remaining
+            self.cputime_us += self._q_duration
+            self._start_quantum(self.last_lcpu)
+            return
+        self._park.callbacks.clear()
+        self.sim_proc._resume(timer)
 
     # -- blocking primitives -----------------------------------------------------
 

@@ -340,10 +340,6 @@ class Process(Event):
             result.callbacks.append(self._on_fire)
             self._target = result
 
-    # kept as an alias: older code and tests refer to the resumption step
-    # by this name.
-    _step = _resume
-
 
 class Condition(Event):
     """Base for AnyOf/AllOf composite events."""

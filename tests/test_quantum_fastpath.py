@@ -1,27 +1,40 @@
-"""The per-quantum fast path of ``SimThread.exec`` against its oracle.
+"""The per-quantum fast path of ``SimThread.exec`` against its oracles.
 
-A thread running inside the dispatch of its own timeout, with nothing
-else due now and a free slot, takes the CPU in place instead of
-scheduling a grant event (DESIGN.md section 9).  These tests pin that
-the shortcut is exact and taken only where it is:
+Two shortcuts skip calendar events without changing what a run
+computes (DESIGN.md section 9):
 
-* forcing every quantum through the request/grant path (the calendar
-  predicate patched to False) leaves whole payloads byte-identical;
+* the in-place grant: a quantum that starts inside the dispatch of the
+  thread's own timeout, with nothing else due now and a free slot,
+  takes the CPU without a grant event;
+* the sticky continuation: when a quantum ends with work left on the
+  same free CPU and nothing else due now, the quantum timeout's
+  callback prices the next quantum itself, without resuming ``exec``.
+
+These tests pin that both are exact and taken only where they are:
+
+* whole payloads are byte-identical with the continuation disabled
+  (the timeout always handed back to the process) and with every
+  quantum forced through the request/grant path (the calendar
+  predicate patched to False);
 * the in-place grant is refused when another entry is due now, when
   the slot is held, and when the thread was woken by a shared event;
+* a mid-quantum affinity change or kill falls back to ``exec``, and a
+  direct interrupt of a running thread leaves exactly what it did
+  before the continuation existed;
 * the sticky CPU pick returns what the full least-loaded scan returns.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.export import canonical_dumps
 from repro.cluster.sweep import run_cluster_sweep
-from repro.hw import CompOp, HWConfig
-from repro.oskernel import System
+from repro.hw import CompOp, CounterEngine, HWConfig, MemOp, Server
+from repro.oskernel import SimThread, System, ThreadState
 from repro.runner.cells import Cell, execute_cell
 from repro.sim import Environment, HeapEnvironment, Resource, WheelEnvironment
 
@@ -33,15 +46,36 @@ def _force_request_path(monkeypatch) -> None:
         monkeypatch.setattr(kernel, "nothing_due_now", lambda self: False)
 
 
+def _hand_back(thread, timer) -> None:
+    """``SimThread._quantum_end`` with the sticky continuation disabled:
+    always resume ``exec`` with the timeout, as the dispatch would."""
+    timer._processed = False
+    thread._park.callbacks.clear()
+    thread.sim_proc._resume(timer)
+
+
+def _disable_continuation(monkeypatch) -> None:
+    monkeypatch.setattr(SimThread, "_quantum_end", _hand_back)
+
+
 class GrantSpy:
-    """Counts per requester tag: in-place grants, in-place attempts the
-    slot refused, and request-path requests."""
+    """Counts per requester tag: in-place grants at op start, in-place
+    attempts the slot refused, and request-path requests; and the quanta
+    priced, in total and, for a ``watch()``ed system, per thread.
+
+    A quantum is in place unless it came through a request, so a
+    thread's in-place quanta are its quanta minus its requests (exact
+    where no request is withdrawn, as in the tests that use it).
+    """
 
     def __init__(self, monkeypatch):
         self.seized: dict = {}
         self.refused: dict = {}
         self.requested: dict = {}
+        self.quanta: dict = {}
+        self.total_quanta = 0
         seize, request = Resource.seize, Resource.request
+        mem_quantum, comp_quantum = Server.mem_quantum, Server.comp_quantum
 
         def spy_seize(res, tag=None):
             req = seize(res, tag)
@@ -53,11 +87,36 @@ class GrantSpy:
             self.requested[tag] = self.requested.get(tag, 0) + 1
             return request(res, tag)
 
+        def spy_mem_quantum(server, *args):
+            self.total_quanta += 1
+            return mem_quantum(server, *args)
+
+        def spy_comp_quantum(server, *args):
+            self.total_quanta += 1
+            return comp_quantum(server, *args)
+
         monkeypatch.setattr(Resource, "seize", spy_seize)
         monkeypatch.setattr(Resource, "request", spy_request)
+        monkeypatch.setattr(Server, "mem_quantum", spy_mem_quantum)
+        monkeypatch.setattr(Server, "comp_quantum", spy_comp_quantum)
+
+    def watch(self, system: System) -> None:
+        def hook(lcpu, tid, kind, start, duration):
+            self.quanta[tid] = self.quanta.get(tid, 0) + 1
+
+        system.quantum_hook = hook
+
+    def in_place(self, tid: int) -> int:
+        return self.quanta.get(tid, 0) - self.requested.get(tid, 0)
+
+    def sticky_bound(self) -> int:
+        """A lower bound on the quanta the continuation priced: those
+        neither seized at op start nor requested."""
+        total = sum(self.seized.values()) + sum(self.requested.values())
+        return self.total_quanta - total
 
 
-# -- the oracle: whole payloads with the fast path forced off ---------------
+# -- the oracles: whole payloads with the shortcuts turned off ---------------
 
 
 def _holmes_obs_cell() -> str:
@@ -86,12 +145,21 @@ def test_payload_identical_with_fast_path_forced_off(payload, calendar, monkeypa
     with monkeypatch.context() as m:
         spy = GrantSpy(m)
         fast = payload()
-        assert sum(spy.seized.values()) > 0, "the fast path was never taken"
+        assert sum(spy.seized.values()) > 0, "the in-place grant was never taken"
+        assert spy.sticky_bound() > 0, "the continuation was never taken"
+    with monkeypatch.context() as m:
+        _disable_continuation(m)
+        spy = GrantSpy(m)
+        no_sticky = payload()
+        assert sum(spy.seized.values()) > 0
+        assert spy.sticky_bound() <= 0
     with monkeypatch.context() as m:
         _force_request_path(m)
         spy = GrantSpy(m)
         slow = payload()
         assert not spy.seized
+        assert spy.sticky_bound() <= 0
+    assert fast == no_sticky
     assert fast == slow
 
 
@@ -112,9 +180,10 @@ def test_fast_path_taken_after_own_timeout(calendar, monkeypatch):
     """The control case: after its own nap, every quantum is in place."""
     spy = GrantSpy(monkeypatch)
     system = _system(calendar)
+    spy.watch(system)
     t = system.spawn_process("p").spawn_thread(_nap_then_compute, affinity={0})
     system.run()
-    assert spy.seized.get(t.tid) == 2
+    assert spy.in_place(t.tid) == 2
     assert t.tid not in spy.requested
 
 
@@ -123,6 +192,7 @@ def test_fast_path_taken_after_own_timeout(calendar, monkeypatch):
 def test_no_fast_path_while_another_entry_is_due_now(calendar, cancelled, monkeypatch):
     spy = GrantSpy(monkeypatch)
     system = _system(calendar)
+    spy.watch(system)
     env = system.env
     t = system.spawn_process("p").spawn_thread(_nap_then_compute, affinity={0})
 
@@ -141,7 +211,7 @@ def test_no_fast_path_while_another_entry_is_due_now(calendar, cancelled, monkey
     # second one, after its own quantum with nothing else due, is in place
     assert spy.requested.get(t.tid) == 1
     assert t.tid not in spy.refused
-    assert spy.seized.get(t.tid) == 1
+    assert spy.in_place(t.tid) == 1
 
 
 @pytest.mark.parametrize("calendar", CALENDARS)
@@ -168,6 +238,7 @@ def test_no_fast_path_when_woken_by_a_shared_event(calendar, monkeypatch):
     queue: the second waiter's callback runs before its grant would."""
     spy = GrantSpy(monkeypatch)
     system = _system(calendar)
+    spy.watch(system)
     env = system.env
     shared = env.event()
 
@@ -190,7 +261,170 @@ def test_no_fast_path_when_woken_by_a_shared_event(calendar, monkeypatch):
     for t in (first, second):
         assert spy.requested.get(t.tid) == 1  # the quantum after the wake-up
         assert t.tid not in spy.refused  # not even tried
-        assert spy.seized.get(t.tid, 0) >= 1  # those after its own quanta
+        assert spy.in_place(t.tid) >= 1  # those after its own quanta
+
+
+# -- where the continuation must hand the quantum back -----------------------
+
+
+def _act_mid_quantum(calendar: str, act) -> tuple:
+    """Run a thread on lcpu 0 and ``act`` on it mid-way through its
+    third quantum; return what the run left behind."""
+    system = _system(calendar)
+    env = system.env
+    trace = []
+    system.quantum_hook = lambda *quantum: trace.append(quantum)
+    proc = system.spawn_process("p")
+
+    def worker(thread):
+        yield from thread.exec(MemOp(lines=5_000, dram_frac=0.5))
+
+    def sibling(thread):
+        yield from thread.exec(CompOp(cycles=240_000))
+
+    t = proc.spawn_thread(worker, affinity={0, 1})
+    proc.spawn_thread(sibling, affinity={32}, quantum_us=30.0)
+
+    def actor():
+        yield env.timeout(120.0)
+        assert t.state is ThreadState.RUNNING
+        act(system, t)
+
+    env.process(actor())
+    system.run()
+    counters = system.server.counters.snapshot_all()
+    return (
+        t.state,
+        t.cputime_us,
+        [q[0] for q in trace if q[1] == t.tid],
+        trace,
+        system.server.busy_snapshot().tolist(),
+        counters.tolist(),
+        env.now,
+    )
+
+
+def _migrate(system, thread):
+    system.sched_setaffinity(thread.tid, {1})
+
+
+def _kill(system, thread):
+    thread.kill()
+
+
+@pytest.mark.parametrize("calendar", CALENDARS)
+@pytest.mark.parametrize("act", [_migrate, _kill])
+def test_mid_quantum_change_falls_back(calendar, act, monkeypatch):
+    """Neither an affinity change nor a kill interrupts a RUNNING
+    thread: each takes effect when the quantum ends, where the
+    continuation must hand the timeout back to ``exec``."""
+    with monkeypatch.context() as m:
+        spy = GrantSpy(m)
+        sticky = _act_mid_quantum(calendar, act)
+        assert spy.sticky_bound() > 0  # the quanta ending at 50 and 100 us
+    with monkeypatch.context() as m:
+        _disable_continuation(m)
+        handed_back = _act_mid_quantum(calendar, act)
+    assert sticky == handed_back
+    state, cputime, lcpus = sticky[:3]
+    if act is _migrate:
+        assert state is ThreadState.DONE
+        assert lcpus[:4] == [0, 0, 0, 1]  # moved at the quantum edge
+    else:
+        assert state is ThreadState.KILLED
+        assert lcpus == [0, 0, 0] and cputime == 150.0
+
+
+def _interrupt_running(calendar: str, cause: str) -> tuple:
+    """Interrupt a RUNNING thread directly, mid-quantum, and report what
+    the interrupt left behind."""
+    system = _system(calendar)
+    env = system.env
+    proc = system.spawn_process("p")
+
+    def worker(thread):
+        yield from thread.exec(MemOp(lines=5_000, dram_frac=0.5))
+        yield from thread.exec(CompOp(cycles=240_000))
+
+    def sibling(thread):
+        yield from thread.exec(CompOp(cycles=240_000))
+
+    t = proc.spawn_thread(worker, affinity={0})
+    # the SMT sibling, on a shorter quantum: the worker's quanta end
+    # with nothing else due, and it is contended for its first 123 us
+    proc.spawn_thread(sibling, affinity={32}, quantum_us=30.0)
+
+    def interrupter():
+        yield env.timeout(120.0)  # mid-way through the third quantum
+        assert t.state is ThreadState.RUNNING
+        t.sim_proc.interrupt(cause)
+
+    env.process(interrupter())
+    system.run()
+    server = system.server
+    return (
+        t.state,
+        t.cputime_us,
+        [float(server.busy_us[i]) for i in (0, 32)],
+        [float(x) for x in server.counters.snapshot_all()[0]],
+        env.now,
+    )
+
+
+#: recorded with the quantum's own timeout as the process's only
+#: callback: the interrupted quantum is folded in whole, and its timeout
+#: still fires, with no callbacks, at 150 us
+INTERRUPTED = {
+    "migrate": (
+        ThreadState.DONE,
+        336.05316687554233,
+        [336.05316687554233, 123.22792206135784],
+        [
+            252021.15557186742,
+            562763.9964911287,
+            733808.3289459534,
+            591933.297070492,
+            13640.0,
+            5819.999999999998,
+            448499.99999999994,
+        ],
+        306.05316687554233,
+    ),
+    "kill": (
+        ThreadState.KILLED,
+        150.0,
+        [150.0, 123.22792206135784],
+        [
+            159088.8343276913,
+            360085.4390452664,
+            465981.2970669891,
+            376236.8694433251,
+            3163.1537047645525,
+            948.9461114293656,
+            10438.407225723022,
+        ],
+        150.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("calendar", CALENDARS)
+@pytest.mark.parametrize("cause", ["migrate", "kill"])
+def test_direct_interrupt_of_a_running_thread(calendar, cause):
+    assert _interrupt_running(calendar, cause) == INTERRUPTED[cause]
+
+
+def test_non_contiguous_external_storage_rejected():
+    """Quanta accrue through flat views of the counter and busy arrays,
+    which only a C-contiguous float64 buffer can back."""
+    config = HWConfig()
+    n = config.n_lcpus
+    width = len(CounterEngine(config, n, np.random.default_rng(0)).event_index)
+    strided = np.zeros((n, 2 * width))[:, ::2]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        CounterEngine(config, n, np.random.default_rng(0), values=strided)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        Server(Environment(), config, busy_values=np.zeros(2 * n)[::2])
 
 
 def test_seize_refuses_a_held_or_queued_slot():

@@ -267,10 +267,13 @@ def test_sigkilled_sweep_resumes_byte_identical(executor, tmp_path):
     parts = [pkg_root]
     parts += [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
     env["PYTHONPATH"] = os.pathsep.join(dict.fromkeys(parts))
+    # a process group of its own, so the pool or socket workers the
+    # SIGKILL orphans can be reaped as a group
     proc = subprocess.Popen(
         [sys.executable, "-c", _DRIVER, executor, cache_dir, path],
         env=env,
         stdin=subprocess.DEVNULL,
+        start_new_session=True,
     )
     killed = False
     deadline = time.monotonic() + 120.0
@@ -288,6 +291,11 @@ def test_sigkilled_sweep_resumes_byte_identical(executor, tmp_path):
     finally:
         if proc.poll() is None and not killed:
             proc.kill()
+        # then the workers the killed sweep left behind
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:  # none outlived it
+            pass
         proc.wait(timeout=60)
     assert killed, "the sweep finished before the kill landed"
 
