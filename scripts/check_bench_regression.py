@@ -56,7 +56,7 @@ Checks, mirroring what the bench itself promises:
   1.03x: observability is free when unused) and at most
   ``max_obs_enabled`` times when fully enabled (default 1.15x);
 * the runner telemetry plane (wall-clock spans across dispatch,
-  executors, and socket workers), attached but disabled, must cost at
+  executors, and pool workers), attached but disabled, must cost at
   most ``max_runner_obs_overhead`` times the plain sweep (default
   1.05x: tracing is zero-cost when off; the enabled ratio is printed
   for the record but not gated).

@@ -57,9 +57,9 @@ def _add_resilience_args(p) -> None:
                         "default: the runner's cell_retries default)")
     p.add_argument("--chaos-plan", default=None, metavar="PATH",
                    help="canonical-JSON transport fault plan injected "
-                        "into the executor (worker kills, refused "
-                        "connects, truncated/garbage frames, heartbeat "
-                        "stalls); recovery must not change report bytes")
+                        "into the executor (lost results, refused "
+                        "tasks, slow replies); recovery must not change "
+                        "report bytes")
     p.add_argument("--journal", default=None, metavar="PATH",
                    help="append-only sweep journal (crash-safe audit "
                         "record; required for --resume)")
@@ -94,8 +94,8 @@ def _telemetry_kwargs(args):
 def _add_telemetry_args(p) -> None:
     p.add_argument("--trace-runner", default=None, metavar="PATH",
                    help="record wall-clock runner spans (dispatch, "
-                        "per-worker assignments, worker-side compute, "
-                        "respawns, retries) and write a Perfetto/Chrome "
+                        "cell attempts, worker-side compute, backfills, "
+                        "retries) and write a Perfetto/Chrome "
                         "trace.json there after the run")
     p.add_argument("--progress", action="store_true",
                    help="live one-line sweep progress on stderr "
@@ -816,7 +816,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "shard cells merged deterministically "
                         "(0 = unsharded, the default)")
     p.add_argument("--executor", default=None,
-                   choices=["inprocess", "pool", "socket"],
+                   choices=["inprocess", "pool"],
                    help="cell transport (default: pool when --parallel "
                         "> 1, in-process otherwise)")
     p.add_argument("--cache-dir", default=None,

@@ -28,15 +28,14 @@ FAULT_KINDS = (
     # timed drivers (simulation processes, repro.faults.drivers):
     "container_crash",     # kill a random running batch job
     "node_fail_stop",      # fail-stop a node, recover after duration_us
-    # runner-transport chaos (consumed by repro.runner.resilience and the
-    # socket worker loop; these act on the *runner's own* transport, not
-    # on the simulation):
-    "worker_kill",         # worker exits hard (SIGKILL-equivalent) mid-task
-    "connect_refuse",      # worker exits before dialing the parent back
-    "frame_truncate",      # worker dies mid-frame (partial reply on the wire)
-    "frame_garbage",       # worker sends a non-JSON frame (protocol violation)
-    "heartbeat_stall",     # worker goes silent for duration_us of wall time
-    "worker_slow",         # worker delays its reply by duration_us of wall time
+    # runner-transport chaos (consumed by repro.runner.resilience's
+    # ChaosExecutor in the parent; these act on the *runner's own*
+    # transport, not on the simulation):
+    "worker_kill",         # the task runs but its result is lost (worker died)
+    "connect_refuse",      # the task is refused before reaching a worker
+    "frame_truncate",      # the result is lost as if cut off mid-reply
+    "frame_garbage",       # the result is lost as if it arrived garbled
+    "worker_slow",         # the reply is delayed by duration_us of wall time
 )
 
 _RATE_KINDS = frozenset(
@@ -44,13 +43,12 @@ _RATE_KINDS = frozenset(
      "cgroup_error")
 )
 _DRIVER_KINDS = frozenset(("container_crash", "node_fail_stop"))
-#: transport kinds: ``rate`` is the per-opportunity probability (per task
-#: for most kinds, per spawn for ``connect_refuse``); ``count`` caps how
-#: many times the fault fires per worker (0 = unlimited) and, with
+#: transport kinds: ``rate`` is the per-task probability; ``count`` caps
+#: how many times the fault fires per sweep (0 = unlimited) and, with
 #: ``rate == 0``, means "fire deterministically at the Nth opportunity".
 TRANSPORT_KINDS = frozenset(
     ("worker_kill", "connect_refuse", "frame_truncate", "frame_garbage",
-     "heartbeat_stall", "worker_slow")
+     "worker_slow")
 )
 
 
@@ -216,13 +214,12 @@ def standard_chaos_plan(
 class FaultChannel:
     """One fault kind's decision stream: specs plus a dedicated RNG.
 
-    Shared by the parent-side :class:`~repro.runner.resilience.ChaosExecutor`
-    and the socket worker's in-process hook, so "fire at the Nth
-    opportunity" and "fire with probability ``rate``, at most ``count``
-    times" mean the same thing on both sides of the transport.  Every
-    spec with a positive rate consumes exactly one RNG draw per
-    opportunity -- even once capped -- so the decision sequence is a
-    pure function of the opportunity index.
+    Drawn by the parent-side
+    :class:`~repro.runner.resilience.ChaosExecutor`: "fire at the Nth
+    opportunity" or "fire with probability ``rate``, at most ``count``
+    times".  Every spec with a positive rate consumes exactly one RNG
+    draw per opportunity -- even once capped -- so the decision sequence
+    is a pure function of the opportunity index.
     """
 
     def __init__(self, kind: str, specs: tuple[FaultSpec, ...], rng):
@@ -263,8 +260,6 @@ def transport_chaos_plan(
     connect_refuse_rate: float = 0.0,
     truncate_rate: float = 0.0,
     garbage_rate: float = 0.0,
-    stall_rate: float = 0.0,
-    stall_duration_us: float = 3_000_000.0,
     slow_rate: float = 0.0,
     slow_duration_us: float = 50_000.0,
     fault_cap: int = 2,
@@ -272,11 +267,10 @@ def transport_chaos_plan(
     """The runner-transport preset: one spec per enabled fault source.
 
     ``fault_cap`` bounds how many times each probabilistic fault fires
-    per worker so a canned CI plan cannot exhaust respawn budgets;
-    ``kill_at_task`` arms a deterministic kill at the Nth task instead
-    of (or on top of) the probabilistic one.  Durations are *wall*
-    microseconds: transport faults happen in real worker processes, not
-    in simulated time.
+    per sweep; ``kill_at_task`` arms a deterministic kill at the Nth
+    task instead of (or on top of) the probabilistic one.  Durations are
+    *wall* microseconds: transport faults delay real replies, not
+    simulated time.
     """
     specs: list[FaultSpec] = []
 
@@ -294,12 +288,6 @@ def transport_chaos_plan(
         add("frame_truncate", rate=truncate_rate)
     if garbage_rate > 0:
         add("frame_garbage", rate=garbage_rate)
-    if stall_rate > 0:
-        add(
-            "heartbeat_stall",
-            rate=stall_rate,
-            duration_us=stall_duration_us,
-        )
     if slow_rate > 0:
         add("worker_slow", rate=slow_rate, duration_us=slow_duration_us)
     return FaultPlan(seed=seed, specs=tuple(specs))

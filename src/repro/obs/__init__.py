@@ -18,10 +18,10 @@ it produced.  Three layers:
   flat JSONL event log, and the text views in
   :mod:`repro.analysis.obs`.
 * :mod:`repro.obs.runner` — the *wall-clock* sibling of the sim-time
-  bus: causal spans across the dispatch core, executors, and socket
+  bus: causal spans across the dispatch core, executors, and pool
   workers (:class:`RunnerTelemetry`), live sweep progress
   (:class:`SweepProgress`), and a Perfetto exporter with one lane per
-  worker that merges across shards and hosts.
+  worker that merges across shards.
 
 The determinism contract: events are stamped with *simulation* time and
 emitted in simulation order, so two runs with identical seeds and plans

@@ -2,14 +2,13 @@
 
 :mod:`repro.obs` gives the *simulated* system a deterministic, sim-time
 observability plane.  This module is its wall-clock sibling for the
-*real* distributed runner (dispatch core, executors, worker
-subprocesses): a :class:`RunnerTelemetry` instance collects **spans**
-(`sweep > cell > cell_attempt > assign > compute`, plus transport
-instants like ``respawn``, ``heartbeat_gap``, ``chaos_injection``) and a
+*real* runner (dispatch core, executors, pool worker processes): a
+:class:`RunnerTelemetry` instance collects **spans** (`sweep > cell >
+cell_attempt > compute`, plus ``backfill``/``retry_backoff`` spans and
+transport instants like ``chaos_injection`` and ``pool_rebuild``) and a
 :class:`~repro.obs.metrics.MetricsRegistry` of runner health series
 (ready-queue depth, effective workers, steals, speculation wins/losses,
-cache hit rate, retries by classification, per-worker heartbeat RTT
-histograms).
+cache hit rate, retries by classification).
 
 Span model
 ----------
@@ -21,15 +20,14 @@ A span is a plain dict -- JSON-able, journal-able, mergeable::
      "status": "ok", "args": {...}}
 
 ``parent`` is a *causal* link, not a rendering hint: it crosses the
-socket-frame protocol (the parent sends the current span id in the task
-frame; the worker returns its compute span with that id as ``parent``)
-so worker-side spans stitch into the parent trace on return.  Ids are
-only unique within one telemetry instance; :func:`merge_snapshots`
-re-ids spans when combining hosts/shards.
+process boundary (the parent's attempt span id rides the pickled task
+spec, ``Task.span_id``; the worker returns its compute span with that
+id as ``parent``) so worker-side spans stitch into the parent trace
+on return.  Ids are only unique within one telemetry instance;
+:func:`merge_snapshots` re-ids spans when combining shards.
 
-Timestamps are ``time.time()`` epoch seconds: worker subprocesses share
-the parent's clock (same host today; remote hosts will need an offset
-handshake, which is why the merge path keeps per-host span groups).
+Timestamps are ``time.time()`` epoch seconds: pool workers share the
+parent's host clock.
 
 Everything here is wall-clock and therefore lives *beside* the
 deterministic artifacts, never inside them: payloads, cache entries and
@@ -49,13 +47,6 @@ from repro.obs.metrics import MetricsRegistry
 QUEUE_DEPTH_BUCKETS = (
     0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0,
     1024.0, 4096.0,
-)
-
-#: heartbeat gap grid, seconds (pings flow every ~2 s; the tail is the
-#: interesting part -- a stalled or dying worker).
-HEARTBEAT_BUCKETS_S = (
-    0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0,
-    20.0, 40.0, 80.0,
 )
 
 
@@ -160,14 +151,6 @@ class RunnerTelemetry:
             self.on_close(span)
         return span["id"]
 
-    def relabel(self, span_id: int, lane: str) -> None:
-        """Move an open span to another lane (e.g. once its worker is known)."""
-        if not self.enabled:
-            return
-        span = self._open.get(span_id)
-        if span is not None:
-            span["lane"] = lane
-
     class _SpanCtx:
         __slots__ = ("_tel", "id")
 
@@ -194,7 +177,7 @@ class RunnerTelemetry:
         """Stitch worker-side spans into this trace.
 
         Worker spans arrive without ids or lanes (their ``parent`` is a
-        *parent-side* span id carried over the wire); adoption assigns
+        *parent-side* span id carried with the task); adoption assigns
         fresh ids and a lane -- ``lane`` if given, else ``w{pid}`` from
         the span's args, else ``worker``.
         """
@@ -317,7 +300,7 @@ def runner_chrome_trace(snapshot: dict) -> dict:
 
     One *process* per host (so shard/remote merges render side by side),
     one *thread* per lane -- ``dispatch`` for the core's control flow,
-    ``w{pid}`` per worker, ``fleet`` for respawn/handshake traffic --
+    ``w{pid}`` per worker, ``fleet`` for transport recovery instants --
     with overflow tracks (``lane·2``, ...) where concurrent spans on a
     logical lane would otherwise break B/E nesting.  Durations render as
     matched ``B``/``E`` pairs, zero-width spans as ``i`` instants;

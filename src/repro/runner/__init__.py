@@ -10,9 +10,8 @@ The layers, bottom up:
 * :mod:`repro.runner.aggregate` — the experiment registry: expansion of
   user-level experiments into role-labelled cells and pure aggregation of
   payloads back into figure/table structures;
-* :mod:`repro.runner.executors` — pluggable transports behind one
-  pull-based protocol: in-process, process pool, and loopback-socket
-  worker subprocesses;
+* :mod:`repro.runner.executors` — two transports behind one pull-based
+  protocol: in-process (the serial reference) and a process pool;
 * :mod:`repro.runner.dispatch` — the async dispatch core: a cost-ordered
   shared ready-queue (longest-expected-first), streaming completion
   folding, bounded speculative re-execution of stragglers;
@@ -42,7 +41,6 @@ from repro.runner.executors import (
     ExecutorError,
     InProcessExecutor,
     PoolExecutor,
-    SocketExecutor,
     Task,
     make_executor,
 )
@@ -83,7 +81,6 @@ __all__ = [
     "ExecutorError",
     "InProcessExecutor",
     "PoolExecutor",
-    "SocketExecutor",
     "Task",
     "make_executor",
     "ChaosExecutor",

@@ -475,8 +475,8 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
     ),
     "sleep": ExperimentSpec(
         # resilience-probe experiment: registered here (not in a test)
-        # so socket workers -- fresh interpreters importing the cell
-        # registry -- can execute sleep cells too.
+        # so pool workers -- processes importing the cell registry --
+        # can execute sleep cells too.
         "sleep",
         _single_cell("sleep", ("wall_s", "mode", "tag", "parent_pid")),
         _agg_passthrough,

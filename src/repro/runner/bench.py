@@ -481,10 +481,10 @@ def bench_dispatch_core(parallel: int = 8, quick: bool = False,
       speculative clone of the straggler would re-run the long cell
       from scratch and add noise, not signal, at this scale.
     * **sharded_sweep** -- a 1,000-node cluster sweep sharded into
-      per-node-range cells, run through ``InProcessExecutor``,
-      ``PoolExecutor`` at two sizes, and ``SocketExecutor``.  The merged
-      reports must be byte-identical across every arm: the transport
-      and the fan-out width must never leak into results.
+      per-node-range cells, run through ``InProcessExecutor`` and
+      ``PoolExecutor`` at two sizes.  The merged reports must be
+      byte-identical across every arm: the transport and the fan-out
+      width must never leak into results.
     """
     import os
 
@@ -562,7 +562,6 @@ def bench_dispatch_core(parallel: int = 8, quick: bool = False,
         ("inprocess", 1),
         ("pool", 2),
         ("pool", eff),
-        ("socket", 2),
     ):
         wall, blob = one_shard(executor, workers)
         shard_arms.append(

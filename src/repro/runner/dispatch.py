@@ -23,9 +23,9 @@ shared ready queue:
   change a report byte.
 
 Failures take one unified path: a failed remote attempt (worker crash,
-poisoned pool, socket death past its requeue budget) is backfilled
-in the parent with the runner's bounded retry budget; only a cell that
-keeps failing there raises
+poisoned pool, injected transport fault) is backfilled in the parent
+with the runner's bounded retry budget; only a cell that keeps failing
+there raises
 :class:`~repro.runner.runner.CellExecutionError`.
 """
 
@@ -349,9 +349,9 @@ class DispatchCore:
             try:
                 completions = self.executor.wait()
             except ExecutorError as exc:
-                # the transport itself died (worker fleet gone, handshake
-                # never completed): recover every unfinished slot in the
-                # parent rather than losing the sweep.
+                # the transport itself died (pool rebuild budget spent):
+                # recover every unfinished slot in the parent rather than
+                # losing the sweep.
                 self._emit(
                     "transport_lost",
                     unfinished=sum(1 for s in slots if not s.done),
@@ -421,11 +421,6 @@ class DispatchCore:
             # clones the executor could not cancel may still be running
             # and die with the executor shutdown.  Close their spans
             # here so nothing outlives the dispatch (nesting invariant).
-            # Executor-held spans (e.g. an in-flight socket assign) must
-            # close first -- they nest *inside* the attempt spans below.
-            abandon = getattr(self.executor, "abandon_telemetry", None)
-            if abandon is not None:
-                abandon()
             for task_id in list(attempt_spans):
                 tel.end(attempt_spans.pop(task_id), status="abandoned")
             for index in list(cell_spans):

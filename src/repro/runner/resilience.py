@@ -3,24 +3,19 @@
 Three pieces, all deterministic:
 
 * :class:`RetryPolicy` -- the one retry/backoff/budget description every
-  recovery path shares.  Before it, each layer had its own knobs
-  (``SocketExecutor(max_respawns=, requeue_budget=)``, the pool's
-  unbounded rebuild, the runner's ``cell_retries``); now one frozen
-  policy drives them all, with exponential backoff whose jitter is a
+  recovery path shares: the parent's bounded attempts per cell and the
+  pool's rebuild budget, with exponential backoff whose jitter is a
   pure function of ``(seed, channel, attempt)`` so two runs of the same
   sweep back off identically.
 
-* :class:`ChaosExecutor` -- a fault-injecting wrapper around any
-  :class:`~repro.runner.executors.Executor`.  It consumes the transport
-  fault kinds of a :class:`~repro.faults.plan.FaultPlan`
+* :class:`ChaosExecutor` -- a fault-injecting wrapper around either
+  :class:`~repro.runner.executors.Executor`, in the parent.  It consumes
+  the transport fault kinds of a :class:`~repro.faults.plan.FaultPlan`
   (``worker_kill``, ``connect_refuse``, ``frame_truncate``,
   ``frame_garbage``, ``worker_slow``) through per-kind RNG channels, so
   the dispatch core's backfill path is exercised by reproducible plans.
-  The socket executor injects the same plan *worker-side* instead
-  (:mod:`repro.runner.worker`), where kills and truncations travel the
-  real bury/requeue/respawn machinery.  Either way the merged report is
-  byte-identical to a fault-free run: cells are deterministic, so a
-  recomputed cell is the same cell.
+  The merged report is byte-identical to a fault-free run: cells are
+  deterministic, so a recomputed cell is the same cell.
 
 * :class:`SweepJournal` -- an append-only canonical-JSONL record of one
   sweep: planned cells, completions, retry decisions, failures, and
@@ -67,11 +62,9 @@ class RetryPolicy:
     ``base * factor**(n-1)`` capped at ``backoff_max_s``, then jittered
     by a factor drawn deterministically from ``(seed, channel, n)`` --
     no shared RNG state, so concurrent channels never perturb each
-    other.  The transport budgets ride along so one policy object
-    configures every layer: ``respawn_budget`` (socket worker
-    replacements), ``requeue_budget`` (deaths one task may cause before
-    it is declared poisonous), ``rebuild_budget`` (process-pool
-    rebuilds after breakage).
+    other.  ``rebuild_budget`` (process-pool rebuilds after a worker
+    death breaks the pool) rides along so one policy object configures
+    every layer.
     """
 
     max_attempts: int = 3
@@ -80,8 +73,6 @@ class RetryPolicy:
     backoff_max_s: float = 2.0
     jitter: float = 0.25
     seed: int = 0
-    respawn_budget: int = 4
-    requeue_budget: int = 1
     rebuild_budget: int = 2
     poisonous: tuple[str, ...] = DEFAULT_POISONOUS
 
@@ -96,13 +87,8 @@ class RetryPolicy:
             raise ValueError("backoff_factor must be >= 1")
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError("jitter must be in [0, 1]")
-        for budget in (
-            self.respawn_budget,
-            self.requeue_budget,
-            self.rebuild_budget,
-        ):
-            if budget < 0:
-                raise ValueError("budgets must be >= 0")
+        if self.rebuild_budget < 0:
+            raise ValueError("rebuild_budget must be >= 0")
         if not isinstance(self.poisonous, tuple):
             object.__setattr__(self, "poisonous", tuple(self.poisonous))
 
@@ -163,8 +149,6 @@ class ChaosExecutor:
       dying after compute but before (or during) the reply looks like.
     * ``worker_slow`` -- the completion is delayed by ``duration_us`` of
       wall time before being handed back.
-    * ``heartbeat_stall`` -- ignored here (only the socket transport has
-      heartbeats; its workers inject stalls themselves).
 
     Every injected fault funnels into the dispatch core's ordinary
     backfill/retry path, so a chaos run converges to the byte-identical

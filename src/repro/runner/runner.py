@@ -22,8 +22,8 @@ experiment recomputes its own cells, duplicates and all); the bench
 harness uses it as the baseline the runner is measured against.
 
 Resilience (:mod:`repro.runner.resilience`) threads through here: one
-:class:`RetryPolicy` drives the parent retry loop *and* the transport
-budgets, ``journal=`` records the sweep as append-only JSONL next to
+:class:`RetryPolicy` drives the parent retry loop *and* the pool's
+rebuild budget, ``journal=`` records the sweep as append-only JSONL next to
 the cache (``resume=True`` restarts a killed sweep from journal +
 cache, re-executing only unfinished cells), and ``chaos_plan=`` injects
 deterministic transport faults -- which never change a report byte,
@@ -103,14 +103,14 @@ class RunReport:
 class ExperimentRunner:
     """Runs sweeps of experiments over an executor with a shared cache.
 
-    ``executor`` picks the transport (``"inprocess"``, ``"pool"``,
-    ``"socket"``); None means pool when ``parallel > 1``, in-process
-    otherwise.  ``cost_hints`` maps cell_id -> expected seconds (e.g. a
-    previous report's ``timings``) and seeds the cost model's ordering.
+    ``executor`` picks the transport (``"inprocess"`` or ``"pool"``);
+    None means pool when ``parallel > 1``, in-process otherwise.
+    ``cost_hints`` maps cell_id -> expected seconds (e.g. a previous
+    report's ``timings``) and seeds the cost model's ordering.
 
     ``retry_policy`` overrides the legacy ``cell_retries`` knob with a
     full :class:`~repro.runner.resilience.RetryPolicy` (attempts,
-    backoff, poisonous-error classification, transport budgets);
+    backoff, poisonous-error classification, the pool's rebuild budget);
     ``journal`` (a path or a
     :class:`~repro.runner.resilience.SweepJournal`) records the sweep
     as crash-safe JSONL; ``resume=True`` restarts a killed sweep over
@@ -284,8 +284,8 @@ class ExperimentRunner:
             if tel is not None and name in (
                 "chaos_refuse", "chaos_doom", "pool_rebuild", "pool_dead"
             ):
-                # the socket executor and dispatch core span their own
-                # recovery; these are the paths with no telemetry handle.
+                # the dispatch core spans its own recovery; the chaos
+                # wrapper and the pool have no telemetry handle.
                 point = (
                     "chaos_injection"
                     if name.startswith("chaos") else name
@@ -324,7 +324,6 @@ class ExperimentRunner:
             retry_policy=self.retry_policy,
             chaos_plan=self.chaos_plan,
             on_event=recover_event,
-            telemetry=tel,
         ) as executor:
             core = DispatchCore(
                 executor,

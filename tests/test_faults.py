@@ -2,6 +2,8 @@
 and the graceful-degradation paths it exercises in the Holmes daemon.
 """
 
+import pathlib
+
 import pytest
 
 from repro.core import Holmes, HolmesConfig
@@ -64,6 +66,13 @@ def test_spec_validation():
         FaultSpec(kind="tick_miss", start_us=10.0, end_us=5.0)
     with pytest.raises(TypeError):
         FaultPlan.coerce(42)
+    # the canned transport plan as it was before the socket transport
+    # and its heartbeat-stall kind were removed: it must fail loudly,
+    # not silently drop a spec
+    golden = pathlib.Path(__file__).resolve().parent / "golden"
+    old_plan = (golden / "socket_era_transport_chaos.json").read_text()
+    with pytest.raises(ValueError, match="unknown fault kind"):
+        FaultPlan.from_json(old_plan)
 
 
 def test_spec_window_and_target():

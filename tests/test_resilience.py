@@ -9,6 +9,8 @@ and the journal proves which cells a resumed sweep actually recomputed.
 from __future__ import annotations
 
 import os
+import pathlib
+import shutil
 import signal
 import subprocess
 import sys
@@ -20,6 +22,11 @@ from repro.faults import (
     FaultChannel,
     standard_chaos_plan,
     transport_chaos_plan,
+)
+from repro.obs.runner import (
+    runner_chrome_trace,
+    timeline_from_journal,
+    validate_runner_trace,
 )
 from repro.runner import (
     Cell,
@@ -73,9 +80,9 @@ def test_retry_policy_validation_and_round_trip():
     with pytest.raises(ValueError):
         RetryPolicy(backoff_factor=0.5)
     with pytest.raises(ValueError):
-        RetryPolicy(requeue_budget=-1)
+        RetryPolicy(rebuild_budget=-1)
     assert RetryPolicy.from_cell_retries(2).max_attempts == 3
-    policy = RetryPolicy(max_attempts=5, seed=3, requeue_budget=2)
+    policy = RetryPolicy(max_attempts=5, seed=3, rebuild_budget=1)
     assert RetryPolicy.from_dict(policy.to_dict()) == policy
 
 
@@ -254,7 +261,7 @@ runner.run(requests)
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("executor", ["inprocess", "pool", "socket"])
+@pytest.mark.parametrize("executor", ["inprocess", "pool"])
 def test_sigkilled_sweep_resumes_byte_identical(executor, tmp_path):
     """SIGKILL the parent mid-sweep; resume must complete byte-identical
     to an uninterrupted run, recomputing only the unfinished cells."""
@@ -267,8 +274,8 @@ def test_sigkilled_sweep_resumes_byte_identical(executor, tmp_path):
     parts = [pkg_root]
     parts += [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
     env["PYTHONPATH"] = os.pathsep.join(dict.fromkeys(parts))
-    # a process group of its own, so the pool or socket workers the
-    # SIGKILL orphans can be reaped as a group
+    # a process group of its own, so the pool workers the SIGKILL
+    # orphans can be reaped as a group
     proc = subprocess.Popen(
         [sys.executable, "-c", _DRIVER, executor, cache_dir, path],
         env=env,
@@ -329,3 +336,55 @@ def test_sigkilled_sweep_resumes_byte_identical(executor, tmp_path):
     assert set(before.done) <= fresh_cached
     assert fresh_done.isdisjoint(before.done)
     assert fresh_done | fresh_cached == set(before.planned)
+
+
+# -- journals written by the retired socket transport --------------------------
+
+#: a traced 3-cell sleep sweep recorded on the socket executor (removed
+#: since) under ``transport_chaos_plan(seed=0, kill_at_task=2)``: its
+#: ``bury``/``requeue``/``respawn`` records and ``handshake``/``assign``
+#: spans have no writer any more, but such journals must stay readable.
+SOCKET_ERA_JOURNAL = (
+    pathlib.Path(__file__).resolve().parent / "golden" / "socket_era_journal.jsonl"
+)
+
+
+def test_socket_era_journal_loads():
+    records = SweepJournal.load(str(SOCKET_ERA_JOURNAL))
+    events = {r["event"] for r in records if r["rec"] == "recover"}
+    assert {"bury", "requeue", "respawn"} <= events
+    stats = SweepJournal.stats_of(records)
+    assert len(stats.planned) == 3 and len(stats.done) == 3
+    assert stats.ended
+
+
+def test_socket_era_journal_renders_a_valid_trace():
+    snap = timeline_from_journal(SweepJournal.load(str(SOCKET_ERA_JOURNAL)))
+    names = {s["name"] for s in snap["spans"]}
+    assert {"handshake", "assign", "respawn", "compute"} <= names
+    assert validate_runner_trace(runner_chrome_trace(snap)) == []
+
+
+@pytest.mark.slow
+def test_socket_era_journal_resumes_on_the_pool(tmp_path):
+    path = str(tmp_path / "journal.jsonl")
+    shutil.copyfile(SOCKET_ERA_JOURNAL, path)
+    requests = [
+        ExperimentRequest.make("sleep", {"wall_s": 0.0, "tag": f"t{i}"}, i)
+        for i in range(3)
+    ]
+    resumed = ExperimentRunner(
+        cache=ResultCache(str(tmp_path / "cache")),
+        parallel=2,
+        executor="pool",
+        journal=path,
+        resume=True,
+    ).run(requests)
+    reference = ExperimentRunner(parallel=1).run(requests)
+    assert resumed.merged_bytes() == reference.merged_bytes()
+    resume_recs = [r for r in SweepJournal.load(path) if r["rec"] == "resume"]
+    assert len(resume_recs) == 1
+    # every prior completion is journalled, but the empty cache holds
+    # none of their payloads, so all three cells are recomputed.
+    assert resume_recs[0]["prior_done"] == 3
+    assert resume_recs[0]["recovered"] == 0

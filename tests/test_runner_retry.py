@@ -113,3 +113,7 @@ def test_runner_ctor_validation():
         ExperimentRunner(cell_retries=-1)
     with pytest.raises(ValueError):
         ExperimentRunner(parallel=0)
+    # an executor name the runner no longer has fails loudly, naming the
+    # ones it does
+    with pytest.raises(ValueError, match=r"'inprocess', 'pool'"):
+        ExperimentRunner(executor="socket")

@@ -6,8 +6,9 @@ The invariants pinned here are the ones the layer promises:
   (spans live beside, never inside, the deterministic artifacts);
 * span intervals are well-formed -- start <= end, children inside their
   parents -- even under the canned transport chaos plan;
-* a SIGKILL'd socket worker leaves a *truncated* assign span, a respawn
-  span, and a requeued attempt with correct parentage in the trace;
+* a pool worker killed mid-cell leaves an errored attempt, a
+  ``pool_rebuild`` instant and a parent backfill under the same cell
+  span in the trace;
 * exported Chrome traces satisfy the trace-event contract (matched B/E
   brackets, non-decreasing timestamps per pid/tid), including merged
   multi-shard traces;
@@ -24,7 +25,6 @@ import pathlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.faults.plan import transport_chaos_plan
 from repro.obs.runner import (
     RunnerTelemetry,
     SweepProgress,
@@ -39,7 +39,6 @@ from repro.runner import (
     ResultCache,
     SweepJournal,
 )
-from repro.runner.resilience import RetryPolicy
 
 CANNED_PLAN = (
     pathlib.Path(__file__).resolve().parent.parent
@@ -148,7 +147,7 @@ def test_merge_snapshots_remaps_ids_and_tags_hosts():
 # -- byte identity across executors --------------------------------------------
 
 
-@pytest.mark.parametrize("executor", ["inprocess", "pool", "socket"])
+@pytest.mark.parametrize("executor", ["inprocess", "pool"])
 def test_payloads_byte_identical_with_tracing_on(executor):
     requests = _sleep_requests(4)
     plain = ExperimentRunner(parallel=2, executor=executor).run(requests)
@@ -169,62 +168,54 @@ def test_disabled_telemetry_leaves_no_snapshot():
     assert report.telemetry is None
 
 
-# -- chaos: truncation, respawn, requeue parentage -----------------------------
+# -- chaos: a dead pool worker's recovery story --------------------------------
 
 
-def test_sigkilled_socket_worker_truncates_respawns_and_requeues():
-    """A worker hard-killed mid-cell must leave the full recovery story
-    in the trace: the in-flight assign span ends *truncated*, a respawn
-    span covers the replacement spawn, and the task's requeued attempt
-    is a second assign span under the same cell_attempt parent."""
-    # every worker (respawns included) completes its first task and is
-    # killed on its second: each kill is preceded by a unique remote
-    # completion, so kills <= n_cells, and the budgets below guarantee
-    # every requeued task eventually lands ok on a fresh worker.
-    plan = transport_chaos_plan(seed=0, kill_at_task=2)
-    policy = RetryPolicy(requeue_budget=4, respawn_budget=8)
+def test_pool_worker_death_leaves_recovery_story_in_trace():
+    """A pool worker hard-killed mid-cell must leave the recovery story
+    in the trace: the poison's attempt span ends in error, a
+    ``pool_rebuild`` instant marks the replacement pool, and the parent
+    backfill nests under the same cell span."""
+    import os
+
+    poison = ExperimentRequest.make(
+        "sleep",
+        {
+            "wall_s": 0.0,
+            "mode": "exit",
+            "parent_pid": os.getpid(),
+            "tag": "poison",
+        },
+        7,
+    )
+    requests = [poison] + _sleep_requests(2)
     tel = RunnerTelemetry()
     report = ExperimentRunner(
-        parallel=2,
-        executor="socket",
-        chaos_plan=plan,
-        telemetry=tel,
-        retry_policy=policy,
-        speculate=0,  # a clone's abandoned requeue would muddy the story
-    ).run(_sleep_requests(4))
-    clean = ExperimentRunner(parallel=2, executor="socket").run(
-        _sleep_requests(4)
-    )
+        parallel=2, executor="pool", telemetry=tel, speculate=0
+    ).run(requests)
+    clean = ExperimentRunner(parallel=1).run(requests)
     assert report.merged_bytes() == clean.merged_bytes()
 
     snap = report.telemetry
     _assert_well_formed(snap)
     spans = snap["spans"]
-    by_id = {s["id"]: s for s in spans}
-
-    truncated = [
+    [cell] = [
         s for s in spans
-        if s["name"] == "assign" and s["status"] == "truncated"
+        if s["name"] == "cell" and "poison" in s["args"]["cell"]
     ]
-    assert truncated, "the killed worker's assign span must read truncated"
-    assert [s for s in spans if s["name"] == "respawn"], (
-        "burying a worker with respawn budget must leave a respawn span"
+    attempts = [
+        s for s in spans
+        if s["name"] == "cell_attempt" and s["parent"] == cell["id"]
+    ]
+    assert [a["status"] for a in attempts] == ["error"]
+    [backfill] = [
+        s for s in spans
+        if s["name"] == "backfill" and s["parent"] == cell["id"]
+    ]
+    assert backfill["status"] == "ok"
+    assert [s for s in spans if s["name"] == "pool_rebuild"], (
+        "the broken pool's replacement must leave a pool_rebuild instant"
     )
-
-    requeues = [s for s in spans if s["name"] == "requeue"]
-    assert requeues, "the in-flight task must be requeued"
-    for rq in requeues:
-        attempt = by_id[rq["parent"]]
-        assert attempt["name"] == "cell_attempt"
-        assigns = [
-            s for s in spans
-            if s.get("parent") == attempt["id"] and s["name"] == "assign"
-        ]
-        # the truncated first assignment and the successful retry hang
-        # off the same attempt: that's the causal stitching under test.
-        assert len(assigns) >= 2
-        assert any(a["status"] == "truncated" for a in assigns)
-        assert any(a["status"] == "ok" for a in assigns)
     assert validate_runner_trace(runner_chrome_trace(snap)) == []
 
 
