@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
-# CI smoke job: the fast tier-1 test slice plus a 2-worker runner
-# equivalence check.
+# CI smoke job: the fast tier-1 test slice plus the 2-worker runner
+# equivalence tests.
 #
 # Slow tests (multi-experiment determinism replays, full runner
 # equivalence sweeps) carry the @pytest.mark.slow marker and are excluded
-# here; run `pytest` with no marker filter for the full suite.
+# from the first step; run `pytest` with no marker filter for the full
+# suite.
 #
-# `repro bench` recomputes a 4-experiment sweep serially and through the
-# 2-worker pooled runner and exits non-zero if the merged results are not
-# byte-identical, so this doubles as the parallel-equivalence gate.
+# tests/test_runner_equivalence.py is slow-marked, so the second step runs
+# it by name: a sweep computed serially and through the 2-worker pooled
+# runner must merge to byte-identical results with the cache cold, warm
+# and corrupted.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -17,11 +19,7 @@ export PYTHONPATH=src
 echo "== tier-1 tests (excluding slow) =="
 python -m pytest -x -q -m "not slow"
 
-echo "== 2-worker runner equivalence bench =="
-# kernel/cluster/dispatch benches are covered by the bench-regression
-# job; the smoke run only needs the serial-vs-parallel equivalence check.
-python -m repro bench --parallel 2 --duration 0.03 \
-    --no-kernel --no-cluster --no-dispatch \
-    --output "$(mktemp -d)/BENCH_smoke.json"
+echo "== 2-worker runner equivalence =="
+python -m pytest -q tests/test_runner_equivalence.py
 
 echo "ci_smoke: OK"

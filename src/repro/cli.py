@@ -384,105 +384,6 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    from repro.runner import run_bench
-
-    # --quick: CI mode.  Cells keep the committed baseline's duration so
-    # BENCH_runner.json stays an apples-to-apples reference (shorter cells
-    # would be dominated by fixed setup cost); only the pool shrinks to
-    # match small CI runners.
-    duration = args.duration if args.duration is not None else 0.08
-    parallel = args.parallel
-    if parallel is None:
-        parallel = 2 if args.quick else 4
-    print(f"benching: 4-experiment sweep, serial vs --parallel {parallel} "
-          f"({duration:g} simulated seconds per cell) ...", file=sys.stderr)
-    record = run_bench(
-        parallel=parallel,
-        duration_us=duration * 1e6,
-        seed=args.seed,
-        cache_dir=args.cache_dir,
-        output=args.output,
-        quick=args.quick,
-        kernel=not args.no_kernel,
-        cluster=not args.no_cluster,
-        dispatch=not args.no_dispatch,
-        profile=args.profile,
-    )
-    sweep = record["sweep"]
-    rows = [
-        ["serial wall (s)", round(sweep["serial_wall_s"], 2)],
-        ["parallel wall (s)", round(sweep["parallel_wall_s"], 2)],
-        ["speedup", round(sweep["speedup"], 2)],
-        ["serial cell runs", sweep["serial_cell_runs"]],
-        ["parallel cell runs", sweep["parallel_cell_runs"]],
-        ["merged results identical", str(sweep["identical_merged_results"])],
-    ]
-    if sweep.get("cache"):
-        cs = sweep["cache"]
-        rows.append([
-            "cache hit/miss/corrupt/write",
-            f"{cs.get('hits', 0)}/{cs.get('misses', 0)}/"
-            f"{cs.get('corrupted', 0)}/{cs.get('writes', 0)}",
-        ])
-    if "runner_obs_overhead" in record:
-        roo = record["runner_obs_overhead"]
-        rows += [
-            ["runner telemetry off",
-             f"{roo['disabled_ratio']:.3f}x (gate <= 1.05x)"],
-            ["runner telemetry on", f"{roo['enabled_ratio']:.3f}x"],
-        ]
-    if "event_loop" in record:
-        loop = record["event_loop"]
-        rows += [
-            ["event loop heap ev/s", int(loop["heap"]["events_per_sec"])],
-            ["event loop wheel ev/s", int(loop["wheel"]["events_per_sec"])],
-            ["wheel vs heap", round(loop["wheel_vs_heap"], 2)],
-        ]
-    if "cluster" in record:
-        cl = record["cluster"]
-        rows += [
-            ["cluster heap wall (s)", round(cl["heap_wall_s"], 2)],
-            ["cluster wheel wall (s)", round(cl["wheel_wall_s"], 2)],
-            ["cluster reports identical", str(cl["identical_reports"])],
-        ]
-    if "dispatch_core" in record:
-        dc = record["dispatch_core"]
-        mix = dc["skewed_mix"]
-        rows += [
-            ["dispatch workers", dc["effective_workers"]],
-            ["skewed mix fifo wall (s)", round(mix["fifo_wall_s"], 2)],
-            ["skewed mix lpt wall (s)", round(mix["lpt_wall_s"], 2)],
-            ["skewed mix lpt speedup", round(mix["speedup"], 2)],
-            ["skewed mix identical", str(mix["identical_merged_results"])],
-            ["sharded sweep identical",
-             str(dc["sharded_sweep"]["identical_merged_results"])],
-        ]
-    print(format_table(["metric", "value"], rows))
-    if "profile_report" in record:
-        print(f"profile report: {record['profile_report']}")
-    print(f"wrote {args.output}")
-    failed = not sweep["identical_merged_results"]
-    if failed:
-        print("ERROR: serial and parallel merged results differ",
-              file=sys.stderr)
-    if "cluster" in record and not record["cluster"]["identical_reports"]:
-        print("ERROR: cluster sweep reports differ across kernels",
-              file=sys.stderr)
-        failed = True
-    if "dispatch_core" in record:
-        dc = record["dispatch_core"]
-        if not dc["skewed_mix"]["identical_merged_results"]:
-            print("ERROR: fifo and lpt dispatch merged results differ",
-                  file=sys.stderr)
-            failed = True
-        if not dc["sharded_sweep"]["identical_merged_results"]:
-            print("ERROR: sharded sweep merged results differ across "
-                  "executors", file=sys.stderr)
-            failed = True
-    return 1 if failed else 0
-
-
 def cmd_chaos(args) -> int:
     import pathlib
 
@@ -767,32 +668,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, default=0.6)
 
     p = sub.add_parser(
-        "bench",
-        help="serial-vs-parallel runner bench; writes BENCH_runner.json",
-    )
-    p.add_argument("--parallel", type=int, default=None,
-                   help="worker processes for the parallel column "
-                        "(default 4, or 2 with --quick)")
-    p.add_argument("--duration", type=float, default=None,
-                   help="simulated seconds per sweep cell (default 0.08)")
-    p.add_argument("--quick", action="store_true",
-                   help="CI mode: baseline-comparable cells, small pool, "
-                        "reduced kernel/cluster bench sizes")
-    p.add_argument("--output", default="BENCH_runner.json")
-    p.add_argument("--cache-dir", default=None,
-                   help="cache directory (default: fresh temp dir, cold)")
-    p.add_argument("--no-kernel", action="store_true",
-                   help="skip the kernel (heap vs wheel) microbenches")
-    p.add_argument("--no-cluster", action="store_true",
-                   help="skip the 100-node cluster sweep bench")
-    p.add_argument("--no-dispatch", action="store_true",
-                   help="skip the dispatch-core skewed-mix and sharded "
-                        "1,000-node executor benches")
-    p.add_argument("--profile", action="store_true",
-                   help="also write a cProfile report of the event-loop "
-                        "hot path (both kernels) next to --output")
-
-    p = sub.add_parser(
         "cluster",
         help="interference-aware cluster scheduling sweep (score vs "
              "least-loaded placement under churn)",
@@ -965,7 +840,6 @@ COMMANDS = {
     "cluster": cmd_cluster,
     "profile": cmd_profile,
     "chaos": cmd_chaos,
-    "bench": cmd_bench,
     "trace": cmd_trace,
     "run-all": cmd_run_all,
 }

@@ -9,8 +9,9 @@ The probabilistic hooks are *pull*-style: the monitor asks
 :meth:`counter_fault` per collect, the daemon asks :meth:`tick_fault`
 per boundary, and the cgroup tree asks :meth:`cgroup_fault` per
 write/attach (via :meth:`install`).  With an empty plan every hook is a
-tuple-iteration no-op, which is what the ``repro bench`` fault-overhead
-gate measures.
+tuple-iteration no-op, and no hook is called per tick or per collect:
+``tests/test_zero_cost_off.py`` pins that an empty plan adds the same
+number of calls to a cell whatever its horizon.
 """
 
 from __future__ import annotations
@@ -49,8 +50,7 @@ class FaultInjector:
         self._obs: "NodeObs | None" = None
         self._obs_fault = False
         #: static per-plan capability flags: consumers branch on these so
-        #: an unconfigured fault kind keeps its fault-free hot path (the
-        #: bench gate holds the empty-plan overhead to <= 5%).
+        #: an unconfigured fault kind keeps its fault-free hot path.
         self.has_counter_faults = bool(
             self._specs["counter_read_error"] or self._specs["counter_garbage"]
         )

@@ -32,8 +32,8 @@ durations) and are therefore kept out of every byte-compared artifact.
 
 Zero-cost when disabled: consumers hold ``obs=None`` and guard every
 emission behind a single ``is not None`` / precomputed-capability check;
-the ``repro bench`` ``obs_overhead`` section gates the disabled path at
-<= 1.03x and the fully-enabled path at <= 1.15x.
+``tests/test_zero_cost_off.py`` pins that the disabled path makes no call
+per event and that the fully-enabled plane makes at most 1.15x the calls.
 """
 
 from repro.obs.bus import Event, EventBus

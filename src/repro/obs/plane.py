@@ -10,8 +10,8 @@ Capability gating: the plane is constructed with a *category set*, and
 ``wants(cat)`` is the contract every producer checks (usually once, at
 construction, caching the boolean).  An absent category costs the
 producer one precomputed-bool branch; an absent plane (``obs=None``)
-costs one ``is not None`` check — the disabled path the bench gate
-holds to <= 1.03x.
+costs one ``is not None`` check.  ``tests/test_zero_cost_off.py`` pins
+that a plane with no category adds no call per event.
 """
 
 from __future__ import annotations
@@ -66,9 +66,8 @@ class ObservabilityPlane:
 
         ``None`` -> no plane (the fully-disabled path).  ``"all"`` -> every
         category.  ``"none"`` -> a plane with no categories (hook points
-        attached, nothing recorded — what the disabled-path bench arm
-        measures).  Otherwise a comma-separated category list, e.g.
-        ``"sched,health,fault"``.
+        attached, nothing recorded).  Otherwise a comma-separated category
+        list, e.g. ``"sched,health,fault"``.
         """
         if spec is None:
             return None

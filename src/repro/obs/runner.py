@@ -56,8 +56,8 @@ class RunnerTelemetry:
     ``enabled=False`` builds an inert instance: every ``begin``/``end``/
     ``instant`` returns immediately (the runner additionally drops the
     reference entirely, so the disabled path is one ``is not None``
-    check per instrumentation point -- the property the
-    ``runner_obs_overhead`` bench gates).
+    check per instrumentation point; ``tests/test_zero_cost_off.py``
+    pins that a disabled instance adds no call to a sweep).
 
     ``on_close`` (settable) is called with each span dict as it closes;
     the runner points it at the sweep journal so span summaries ride
@@ -171,15 +171,13 @@ class RunnerTelemetry:
         """Context-manager form of :meth:`begin`/:meth:`end`."""
         return self._SpanCtx(self, self.begin(name, **kw))
 
-    def adopt(
-        self, spans: Optional[list], lane: Optional[str] = None
-    ) -> None:
+    def adopt(self, spans: Optional[list]) -> None:
         """Stitch worker-side spans into this trace.
 
         Worker spans arrive without ids or lanes (their ``parent`` is a
         *parent-side* span id carried with the task); adoption assigns
-        fresh ids and a lane -- ``lane`` if given, else ``w{pid}`` from
-        the span's args, else ``worker``.
+        fresh ids and a lane -- ``w{pid}`` from the span's args, else
+        ``worker``.
         """
         if not self.enabled or not spans:
             return
@@ -187,10 +185,8 @@ class RunnerTelemetry:
             if not isinstance(raw, dict):
                 continue
             args = dict(raw.get("args") or {})
-            span_lane = lane or raw.get("lane")
-            if span_lane is None:
-                pid = args.get("pid")
-                span_lane = f"w{pid}" if pid is not None else "worker"
+            pid = args.get("pid")
+            span_lane = f"w{pid}" if pid is not None else "worker"
             t0 = float(raw.get("t0", self._clock()))
             span = {
                 "id": self._next_id,

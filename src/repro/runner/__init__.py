@@ -21,9 +21,7 @@ The layers, bottom up:
   :class:`SweepJournal` behind ``--resume``;
 * :mod:`repro.runner.runner` — the runner tying dispatch, cache and
   aggregation together with deterministic (byte-identical across
-  executors) merging;
-* :mod:`repro.runner.bench` — the ``repro bench`` harness emitting
-  ``BENCH_runner.json``.
+  executors) merging.
 """
 
 from repro.runner.cells import Cell, execute_cell, latency_summary
@@ -55,13 +53,6 @@ from repro.runner.runner import (
     ExperimentRunner,
     RunReport,
 )
-from repro.runner.bench import (
-    bench_fault_overhead,
-    bench_resilience_overhead,
-    bench_runner_obs_overhead,
-    bench_sweep,
-    run_bench,
-)
 
 __all__ = [
     "Cell",
@@ -90,9 +81,4 @@ __all__ = [
     "CellExecutionError",
     "ExperimentRunner",
     "RunReport",
-    "bench_fault_overhead",
-    "bench_resilience_overhead",
-    "bench_runner_obs_overhead",
-    "bench_sweep",
-    "run_bench",
 ]

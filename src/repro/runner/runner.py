@@ -18,8 +18,9 @@ through to the cache as they land, and failed remote attempts are
 backfilled in the parent with the bounded retry budget.
 
 ``dedupe=False`` reproduces the legacy serial behaviour (every
-experiment recomputes its own cells, duplicates and all); the bench
-harness uses it as the baseline the runner is measured against.
+experiment recomputes its own cells, duplicates and all);
+``tests/test_runner_equivalence.py`` uses it as the serial reference the
+pooled, cached runner's merged bytes must equal.
 
 Resilience (:mod:`repro.runner.resilience`) threads through here: one
 :class:`RetryPolicy` drives the parent retry loop *and* the pool's

@@ -12,7 +12,13 @@ import os
 
 import pytest
 
-from repro.runner import Cell, RetryPolicy
+from repro.runner import (
+    Cell,
+    ExperimentRequest,
+    ExperimentRunner,
+    RetryPolicy,
+    expand_request,
+)
 from repro.runner.dispatch import CostModel, DispatchCore
 from repro.runner.executors import (
     Completion,
@@ -60,9 +66,16 @@ def test_cost_model_observation_calibrates_kind():
     assert model.estimate(cell_b) > base
 
 
-def test_dispatch_orders_longest_expected_first():
+@pytest.mark.parametrize(
+    ("costs", "order"),
+    [([1.0, 2.0, 3.0, 4.0], [3, 2, 1, 0]), ([4.0, 3.0, 2.0, 1.0], [0, 1, 2, 3])],
+    ids=["lpt", "fifo"],
+)
+def test_dispatch_orders_longest_expected_first(costs, order):
+    """The most expensive cell dispatches first; hints that rank cells in
+    input order (``fifo``) make the core first-in-first-out."""
     cells = _cells(4)
-    hints = {c.cell_id: float(i + 1) for i, c in enumerate(cells)}
+    hints = {c.cell_id: cost for c, cost in zip(cells, costs)}
     seen: list[int] = []
 
     class Recorder(InProcessExecutor):
@@ -71,7 +84,33 @@ def test_dispatch_orders_longest_expected_first():
             super().submit(task)
 
     DispatchCore(Recorder(), cost_model=CostModel(hints=hints)).run(cells)
-    assert seen == [3, 2, 1, 0], "most expensive cell must dispatch first"
+    assert seen == order
+
+
+@pytest.mark.slow
+def test_dispatch_order_never_changes_merged_bytes():
+    """Three short cells and a longer one, last in input order, on a 2-worker
+    pool: FIFO hints hand the long cell out last, the cost model's own LPT
+    order first, and the merged reports are the same bytes."""
+    requests = [
+        ExperimentRequest.make(
+            "colocation",
+            {**_PARAMS, "setting": "holmes", "duration_us": duration_us},
+            seed,
+        )
+        for seed, duration_us in enumerate([5_000.0] * 3 + [20_000.0])
+    ]
+    cells = [cell for req in requests for _role, cell in expand_request(req)]
+    fifo_hints = {c.cell_id: float(len(cells) - i) for i, c in enumerate(cells)}
+    model = CostModel()
+    assert model.estimate(cells[-1]) > model.estimate(cells[0])
+    merged = []
+    for hints in (fifo_hints, None):
+        runner = ExperimentRunner(
+            parallel=2, executor="pool", speculate=0, cost_hints=hints
+        )
+        merged.append(runner.run(requests).merged_bytes())
+    assert merged[0] == merged[1]
 
 
 # -- alignment and duplicates --------------------------------------------------
@@ -250,47 +289,3 @@ def test_pool_rebuild_budget_bounds_worker_death_recovery(budget):
     else:
         assert events.count("pool_dead") == 1
         assert "pool_rebuild" not in events
-
-
-# -- the CI gate over a bench record's dispatch_core section --------------------
-
-
-def _gate():
-    import importlib.util
-    import pathlib
-
-    path = pathlib.Path(__file__).parents[1] / "scripts" / "check_bench_regression.py"
-    spec = importlib.util.spec_from_file_location("check_bench_regression", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _dispatch_section(workers: int, speedup: float) -> dict:
-    return {
-        "effective_workers": workers,
-        "skewed_mix": {
-            "n_cheap": 8,
-            "fifo_wall_s": 1.0,
-            "lpt_wall_s": 1.0 / speedup,
-            "speedup": speedup,
-            "identical_merged_results": True,
-        },
-        "sharded_sweep": {"identical_merged_results": True},
-    }
-
-
-def test_dispatch_gate_skip_is_loud_at_one_worker(capsys):
-    gate = _gate()
-    assert gate.check_dispatch_core(_dispatch_section(1, 1.0), 1.3) == []
-    out = capsys.readouterr().out
-    assert "SKIPPED: dispatch-core speedup gate" in out
-    assert "this record ran 1" in out
-
-
-def test_dispatch_gate_applies_at_two_workers(capsys):
-    gate = _gate()
-    assert gate.check_dispatch_core(_dispatch_section(2, 1.5), 1.3) == []
-    assert "SKIPPED" not in capsys.readouterr().out
-    [failure] = gate.check_dispatch_core(_dispatch_section(2, 1.1), 1.3)
-    assert "only 1.10x" in failure
