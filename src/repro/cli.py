@@ -54,7 +54,7 @@ def _resilience_kwargs(args):
 def _add_resilience_args(p) -> None:
     p.add_argument("--retries", type=int, default=None, metavar="N",
                    help="per-cell retry budget (max attempts = N + 1; "
-                        "default: the runner's cell_retries default)")
+                        "default 2)")
     p.add_argument("--chaos-plan", default=None, metavar="PATH",
                    help="canonical-JSON transport fault plan injected "
                         "into the executor (lost results, refused "

@@ -5,7 +5,7 @@ it produced.  Three layers:
 
 * :mod:`repro.obs.bus` — a deterministic, sim-time-stamped event bus.
   Producers (daemon, monitor, scheduler, cluster scheduler, fault
-  injector, runner) emit typed structured events into a bounded
+  injector) emit typed structured events into a bounded
   columnar buffer; every scheduler deallocate/restore/expand action
   carries a *decision audit record* (observed VPI vs E, usage vs T,
   S-countdown state, degraded-mode flag) so Algorithm 1–3 transitions
@@ -21,14 +21,14 @@ it produced.  Three layers:
   bus: causal spans across the dispatch core, executors, and pool
   workers (:class:`RunnerTelemetry`), live sweep progress
   (:class:`SweepProgress`), and a Perfetto exporter with one lane per
-  worker that merges across shards.
+  worker.
 
 The determinism contract: events are stamped with *simulation* time and
 emitted in simulation order, so two runs with identical seeds and plans
 produce byte-identical event streams — regardless of ``--parallel``
-fan-out, result caching, or wall-clock jitter.  Runner-level events are
-the one exception (they time real work, so they carry wall-clock
-durations) and are therefore kept out of every byte-compared artifact.
+fan-out, result caching, or wall-clock jitter.  The runner's wall-clock
+spans live in :mod:`repro.obs.runner`, never on this bus, and are kept
+out of every byte-compared artifact.
 
 Zero-cost when disabled: consumers hold ``obs=None`` and guard every
 emission behind a single ``is not None`` / precomputed-capability check;
@@ -59,7 +59,6 @@ from repro.obs.export import (
 from repro.obs.runner import (
     RunnerTelemetry,
     SweepProgress,
-    merge_snapshots,
     runner_chrome_trace,
     timeline_from_journal,
     validate_runner_trace,
@@ -84,7 +83,6 @@ __all__ = [
     "write_trace_bundle",
     "RunnerTelemetry",
     "SweepProgress",
-    "merge_snapshots",
     "runner_chrome_trace",
     "timeline_from_journal",
     "validate_runner_trace",

@@ -21,19 +21,19 @@ from typing import Optional, Union
 from repro.obs.bus import EventBus
 from repro.obs.metrics import Histogram, MetricsRegistry
 
-#: every event/capability category the plane understands.
+#: every event/capability category the plane understands; all are
+#: sim-time-stamped.  The runner's wall-clock events are the telemetry
+#: plane's (:mod:`repro.obs.runner`), not a category here.
 #:
 #: sched    Holmes scheduler actions with decision audit records
 #: daemon   Holmes loop lifecycle (start/stop, watchdog, tick faults)
 #: health   VPI signal health transitions (stale / degraded / recovered)
 #: cluster  cluster-level placement, admission, relocation, node failures
 #: fault    fault-injector decisions (kind, node, RNG channel draw index)
-#: runner   experiment-runner progress (wall-clock; never byte-compared)
 #: quantum  execution-tracer quanta riding along in trace exports
 #: metrics  the metrics registry (counters/gauges/histograms)
 CATEGORIES = (
-    "sched", "daemon", "health", "cluster", "fault", "runner",
-    "quantum", "metrics",
+    "sched", "daemon", "health", "cluster", "fault", "quantum", "metrics",
 )
 
 #: categories enabled by ``--obs all`` (everything).
@@ -113,18 +113,13 @@ class ObservabilityPlane:
 
     # -- snapshot ----------------------------------------------------------
 
-    def snapshot(self, include_runner: bool = False) -> dict:
+    def snapshot(self) -> dict:
         """Plain JSON-able dump: events + metrics + bookkeeping.
 
         This is what rides inside experiment payloads (and therefore what
-        the byte-identity checks compare): the runner category is
-        excluded by default because runner events carry wall-clock
-        durations.  ``include_runner=True`` is reserved for artifacts
-        that are never byte-compared (``RunReport.obs``).
+        the byte-identity checks compare).
         """
         events = self.bus.snapshot()
-        if not include_runner:
-            events = [e for e in events if e["cat"] != "runner"]
         out = {
             "categories": sorted(self.categories),
             "events": events,

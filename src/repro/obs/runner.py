@@ -5,15 +5,15 @@ observability plane.  This module is its wall-clock sibling for the
 *real* runner (dispatch core, executors, pool worker processes): a
 :class:`RunnerTelemetry` instance collects **spans** (`sweep > cell >
 cell_attempt > compute`, plus ``backfill``/``retry_backoff`` spans and
-transport instants like ``chaos_injection`` and ``pool_rebuild``) and a
+recovery instants like ``chaos_injection`` and ``pool_rebuild``) and a
 :class:`~repro.obs.metrics.MetricsRegistry` of runner health series
-(ready-queue depth, effective workers, steals, speculation wins/losses,
-cache hit rate, retries by classification).
+(ready-queue depth, effective workers, steals, cache hit rate, retries
+by classification).
 
 Span model
 ----------
 
-A span is a plain dict -- JSON-able, journal-able, mergeable::
+A span is a plain dict -- JSON-able and journal-able::
 
     {"id": 7, "parent": 3, "name": "cell_attempt", "cat": "dispatch",
      "lane": "dispatch", "t0": 1719243.12, "t1": 1719244.80,
@@ -23,8 +23,8 @@ A span is a plain dict -- JSON-able, journal-able, mergeable::
 process boundary (the parent's attempt span id rides the pickled task
 spec, ``Task.span_id``; the worker returns its compute span with that
 id as ``parent``) so worker-side spans stitch into the parent trace
-on return.  Ids are only unique within one telemetry instance;
-:func:`merge_snapshots` re-ids spans when combining shards.
+on return.  Ids are unique within one telemetry instance, which
+serves one sweep (the shards of a sharded sweep are cells of it).
 
 Timestamps are ``time.time()`` epoch seconds: pool workers share the
 parent's host clock.
@@ -67,11 +67,9 @@ class RunnerTelemetry:
     def __init__(
         self,
         enabled: bool = True,
-        host: str = "local",
         clock: Callable[[], float] = time.time,
     ):
         self.enabled = enabled
-        self.host = host
         self.metrics = MetricsRegistry()
         self.on_close: Optional[Callable[[dict], None]] = None
         self._clock = clock
@@ -209,7 +207,7 @@ class RunnerTelemetry:
     def snapshot(self) -> dict:
         """Plain-dict view: spans (open ones clamped to now) + metrics."""
         if not self.enabled:
-            return {"host": self.host, "spans": [], "metrics": {}}
+            return {"host": "local", "spans": [], "metrics": {}}
         now = self._clock()
         spans = []
         for span in self._spans:
@@ -219,48 +217,10 @@ class RunnerTelemetry:
                 out["t1"] = now
             spans.append(out)
         return {
-            "host": self.host,
+            "host": "local",
             "spans": spans,
             "metrics": self.metrics.snapshot(),
         }
-
-
-def merge_snapshots(snapshots: List[dict]) -> dict:
-    """Combine telemetry snapshots from several hosts/shards into one.
-
-    Span ids are re-assigned (parents remapped within each source), each
-    span is tagged with its source ``host``, and metrics are prefixed
-    ``host/``.  Duplicate host names get ``#2``, ``#3`` suffixes, so
-    merging N shard runners -- or, later, N remote hosts -- is the same
-    operation.
-    """
-    merged_spans: List[dict] = []
-    merged_metrics: Dict[str, dict] = {}
-    seen_hosts: Dict[str, int] = {}
-    next_id = 0
-    for snap in snapshots:
-        host = str(snap.get("host", "local"))
-        n = seen_hosts.get(host, 0) + 1
-        seen_hosts[host] = n
-        if n > 1:
-            host = f"{host}#{n}"
-        remap: Dict[int, int] = {}
-        for span in snap.get("spans", ()):
-            sid = span.get("id")
-            remap[sid] = next_id
-            out = dict(span)
-            out["args"] = dict(span.get("args") or {})
-            out["id"] = next_id
-            out["host"] = host
-            merged_spans.append(out)
-            next_id += 1
-        for span in merged_spans[len(merged_spans) - len(remap):]:
-            parent = span.get("parent")
-            span["parent"] = remap.get(parent) if parent is not None else None
-        for key, snap_metric in (snap.get("metrics") or {}).items():
-            merged_metrics[f"{host}/{key}"] = snap_metric
-    return {"host": "merged", "spans": merged_spans,
-            "metrics": dict(sorted(merged_metrics.items()))}
 
 
 def _allocate_tracks(spans: List[dict]) -> List[List[dict]]:
@@ -294,20 +254,16 @@ def _allocate_tracks(spans: List[dict]) -> List[List[dict]]:
 def runner_chrome_trace(snapshot: dict) -> dict:
     """Chrome-trace ("trace event format") JSON for a telemetry snapshot.
 
-    One *process* per host (so shard/remote merges render side by side),
-    one *thread* per lane -- ``dispatch`` for the core's control flow,
-    ``w{pid}`` per worker, ``fleet`` for transport recovery instants --
+    One *process* named by the snapshot's ``host``, one *thread* per
+    lane -- ``dispatch`` for the core's control flow, ``w{pid}`` per
+    worker, ``fleet`` for recovery instants --
     with overflow tracks (``lane·2``, ...) where concurrent spans on a
     logical lane would otherwise break B/E nesting.  Durations render as
     matched ``B``/``E`` pairs, zero-width spans as ``i`` instants;
     timestamps are microseconds from the earliest span.
     """
     spans = snapshot.get("spans", [])
-    by_host: Dict[str, List[dict]] = {}
-    for span in spans:
-        by_host.setdefault(
-            str(span.get("host", snapshot.get("host", "local"))), []
-        ).append(span)
+    by_host = {str(snapshot.get("host", "local")): spans} if spans else {}
     t_base = min((s["t0"] for s in spans), default=0.0)
 
     def ts(t: float) -> float:
@@ -410,7 +366,7 @@ def validate_runner_trace(trace: dict) -> List[str]:
     Returns a list of problems (empty = valid): every ``B`` must have a
     matching ``E`` in stack order on its (pid, tid), no stray ``E``, and
     timestamps must be non-decreasing per (pid, tid) in array order --
-    the properties the CI smoke step asserts on merged traces.
+    the properties the CI smoke step asserts on a sharded sweep's trace.
     """
     problems: List[str] = []
     events = trace.get("traceEvents")

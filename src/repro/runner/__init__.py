@@ -14,7 +14,7 @@ The layers, bottom up:
   protocol: in-process (the serial reference) and a process pool;
 * :mod:`repro.runner.dispatch` — the async dispatch core: a cost-ordered
   shared ready-queue (longest-expected-first), streaming completion
-  folding, bounded speculative re-execution of stragglers;
+  folding, and a parent backfill for every failed attempt;
 * :mod:`repro.runner.resilience` — the resilience layer: one
   :class:`RetryPolicy` for every recovery path, the fault-injecting
   :class:`ChaosExecutor` wrapper, and the crash-safe

@@ -15,17 +15,12 @@ shared ready queue:
   takes the next one (work-stealing by construction, no per-worker
   queues to go empty);
 * completions stream back and are folded (and cache-written) as they
-  arrive;
-* once the ready queue is empty, a **bounded speculative pass** clones
-  the last stragglers onto idle workers: first result wins, the loser
-  is cancelled best-effort.  Payloads are keyed by the cell, not by who
-  computed it, and cells are deterministic, so speculation can never
-  change a report byte.
+  arrive.
 
-Failures take one unified path: a failed remote attempt (worker crash,
-poisoned pool, injected transport fault) is backfilled in the parent
-with the runner's bounded retry budget; only a cell that keeps failing
-there raises
+Each cell goes to the executor once.  Failures take one unified path:
+a failed remote attempt (worker crash, poisoned pool, injected transport
+fault) is backfilled in the parent as it lands, with the runner's
+bounded retry budget; only a cell that keeps failing there raises
 :class:`~repro.runner.runner.CellExecutionError`.
 """
 
@@ -111,15 +106,12 @@ class CostModel:
 class _Slot:
     """Dispatch state of one requested cell execution."""
 
-    __slots__ = ("index", "cell", "inflight", "cloned", "done", "last_error")
+    __slots__ = ("index", "cell", "done")
 
     def __init__(self, index: int, cell: Cell):
         self.index = index
         self.cell = cell
-        self.inflight = 0
-        self.cloned = False
         self.done = False
-        self.last_error: Optional[BaseException] = None
 
 
 class DispatchCore:
@@ -132,20 +124,19 @@ class DispatchCore:
     ``local_retry`` is the parent-side backfill: called with (cell,
     last_error) when a remote attempt failed, it must either return a
     ``(payload, seconds)`` pair (retrying as it sees fit) or raise.
-    ``on_result`` is invoked once per slot as its first result lands --
-    the runner writes the cache through it, so a killed sweep keeps
-    every completed cell.  ``on_event`` observes the core's own recovery
-    decisions (``backfill``, ``speculate``, ``transport_lost``) with
-    audit fields; the runner forwards them to the obs plane and the
-    sweep journal.
+    ``on_result`` is invoked once per slot as its result lands -- the
+    runner writes the cache through it, so a killed sweep keeps every
+    completed cell.  ``on_event`` observes the core's own recovery
+    decisions (``backfill``, ``transport_lost``) with audit fields; the
+    runner records them like the executors' own events.
 
     ``telemetry`` (a :class:`~repro.obs.runner.RunnerTelemetry`) arms the
     wall-clock span layer: one ``cell`` span per slot, one
     ``cell_attempt`` span per launched task (its id rides
     ``Task.span_id`` across the executor so worker-side compute spans
     stitch back in), and per-loop-iteration samples of ready-queue
-    depth, effective workers, steals and speculation wins/losses.
-    ``parent_span`` nests everything under the runner's sweep span.
+    depth, effective workers and steals.  ``parent_span`` nests
+    everything under the runner's sweep span.
     """
 
     def __init__(
@@ -156,7 +147,6 @@ class DispatchCore:
         local_retry: Optional[Callable] = None,
         on_result: Optional[Callable] = None,
         on_event: Optional[Callable] = None,
-        speculate: int = 0,
         telemetry=None,
         parent_span: Optional[int] = None,
     ):
@@ -165,7 +155,6 @@ class DispatchCore:
         self.local_retry = local_retry
         self.on_result = on_result
         self.on_event = on_event
-        self.speculate = max(0, int(speculate))
         self.telemetry = telemetry
         self.parent_span = parent_span
 
@@ -191,41 +180,33 @@ class DispatchCore:
             )
         )
         results: list = [None] * len(cells)
-        tasks: dict[int, _Slot] = {}  # live task_id -> slot
+        tasks: dict[int, _Slot] = {}  # in-flight task_id -> slot
         next_task_id = 0
-        speculated = 0
-        in_executor = 0
         remaining = len(cells)
         # telemetry bookkeeping (None-guarded; all dead weight when off)
         cell_spans: dict[int, int] = {}  # slot index -> cell span id
         attempt_spans: dict[int, int] = {}  # task_id -> attempt span id
-        clone_ids: set[int] = set()
         waited = False  # a launch after the first wait() is a steal
 
         def launch(slot: _Slot) -> None:
-            nonlocal next_task_id, in_executor
+            nonlocal next_task_id
             span_id = None
             if tel is not None:
-                cell_span = cell_spans.get(slot.index)
-                if cell_span is None:
-                    cell_span = tel.begin(
-                        "cell",
-                        cat="dispatch",
-                        parent=self.parent_span,
-                        cell=slot.cell.cell_id,
-                    )
-                    cell_spans[slot.index] = cell_span
+                cell_span = tel.begin(
+                    "cell",
+                    cat="dispatch",
+                    parent=self.parent_span,
+                    cell=slot.cell.cell_id,
+                )
+                cell_spans[slot.index] = cell_span
                 span_id = tel.begin(
                     "cell_attempt",
                     cat="dispatch",
                     parent=cell_span,
                     cell=slot.cell.cell_id,
                     task=next_task_id,
-                    clone=slot.cloned,
                 )
                 attempt_spans[next_task_id] = span_id
-                if slot.cloned:
-                    clone_ids.add(next_task_id)
                 if waited:
                     tel.metrics.counter("steals").inc()
             task = Task(
@@ -237,45 +218,22 @@ class DispatchCore:
             )
             next_task_id += 1
             tasks[task.task_id] = slot
-            slot.inflight += 1
-            in_executor += 1
             self.executor.submit(task)
 
         def finish(slot: _Slot, payload: dict, secs: float) -> None:
-            nonlocal remaining, in_executor
+            nonlocal remaining
             slot.done = True
             remaining -= 1
             results[slot.index] = (payload, secs)
             if self.on_result is not None:
                 self.on_result(slot.cell, payload, secs)
-            # cancel any speculative sibling still queued or running; a
-            # successful cancel means no completion will ever arrive for
-            # that task, so the executor slot frees immediately.
-            for task_id, owner in list(tasks.items()):
-                if owner is slot:
-                    if self.executor.cancel(task_id):
-                        del tasks[task_id]
-                        slot.inflight -= 1
-                        in_executor -= 1
-                        if tel is not None:
-                            tel.end(
-                                attempt_spans.pop(task_id, -1),
-                                status="cancelled",
-                            )
-            # the cell span closes with its *last* attempt: a clone the
-            # executor could not cancel is still running, and its attempt
-            # span must end inside the cell span (nesting invariant).
-            if tel is not None and slot.inflight == 0:
+            if tel is not None:
                 tel.end(cell_spans.pop(slot.index, -1), status="ok")
 
-        def backfill(slot: _Slot) -> None:
+        def backfill(slot: _Slot, error: BaseException) -> None:
             if self.local_retry is None:
-                raise slot.last_error
-            self._emit(
-                "backfill",
-                cell=slot.cell.cell_id,
-                error=repr(slot.last_error),
-            )
+                raise error
+            self._emit("backfill", cell=slot.cell.cell_id, error=repr(error))
             span = -1
             if tel is not None:
                 span = tel.begin(
@@ -283,10 +241,10 @@ class DispatchCore:
                     cat="dispatch",
                     parent=cell_spans.get(slot.index),
                     cell=slot.cell.cell_id,
-                    error=repr(slot.last_error),
+                    error=repr(error),
                 )
             try:
-                payload, secs = self.local_retry(slot.cell, slot.last_error)
+                payload, secs = self.local_retry(slot.cell, error)
             except BaseException:
                 if tel is not None:
                     tel.end(span, status="error")
@@ -296,133 +254,45 @@ class DispatchCore:
             finish(slot, payload, secs)
 
         while remaining:
-            # fill every free executor slot from the ready queue.
-            while ready and in_executor < self.executor.capacity:
+            # fill every free executor slot from the ready queue; every
+            # unfinished slot is then queued or in flight, so the
+            # executor holds at least one task to wait on.
+            while ready and len(tasks) < self.executor.capacity:
                 launch(ready.popleft())
-            # ready queue dry, workers idle: speculate on stragglers.
-            if (
-                not ready
-                and self.speculate > speculated
-                and in_executor < self.executor.capacity
-            ):
-                stragglers = sorted(
-                    (
-                        s
-                        for s in slots
-                        if not s.done and s.inflight == 1 and not s.cloned
-                    ),
-                    key=lambda s: (
-                        -self.cost_model.estimate(s.cell),
-                        s.cell.cell_id,
-                    ),
-                )
-                for slot in stragglers:
-                    if (
-                        self.speculate <= speculated
-                        or in_executor >= self.executor.capacity
-                    ):
-                        break
-                    slot.cloned = True
-                    speculated += 1
-                    self._emit("speculate", cell=slot.cell.cell_id)
-                    if tel is not None:
-                        tel.instant(
-                            "speculation",
-                            cat="dispatch",
-                            parent=cell_spans.get(slot.index),
-                            cell=slot.cell.cell_id,
-                        )
-                    launch(slot)
             if tel is not None:
                 # per-iteration health samples for the runner registry.
                 m = tel.metrics
                 m.histogram("ready_queue_depth", QUEUE_DEPTH_BUCKETS) \
                     .observe(len(ready))
-                m.gauge("effective_workers").set(in_executor)
+                m.gauge("effective_workers").set(len(tasks))
                 m.gauge("cells_remaining").set(remaining)
-            if in_executor == 0:
-                # every in-flight attempt failed; recover serially.
-                for slot in slots:
-                    if not slot.done and slot.inflight == 0:
-                        backfill(slot)
-                continue
             try:
                 completions = self.executor.wait()
             except ExecutorError as exc:
                 # the transport itself died (pool rebuild budget spent):
                 # recover every unfinished slot in the parent rather than
                 # losing the sweep.
-                self._emit(
-                    "transport_lost",
-                    unfinished=sum(1 for s in slots if not s.done),
-                    error=repr(exc),
-                )
+                self._emit("transport_lost", unfinished=remaining, error=repr(exc))
                 if tel is not None:
-                    tel.instant(
-                        "transport_lost",
-                        cat="dispatch",
-                        parent=self.parent_span,
-                        error=repr(exc),
-                    )
-                    for task_id in list(tasks):
-                        tel.end(
-                            attempt_spans.pop(task_id, -1), status="lost"
-                        )
-                tasks.clear()
+                    for task_id in tasks:
+                        tel.end(attempt_spans.pop(task_id, -1), status="lost")
                 for slot in slots:
                     if not slot.done:
-                        if slot.last_error is None:
-                            slot.last_error = exc
-                        slot.inflight = 0
-                        backfill(slot)
+                        backfill(slot, exc)
                 break
             waited = True
             for comp in completions:
-                slot = tasks.pop(comp.task_id, None)
-                if slot is None:
-                    if tel is not None:
-                        tel.end(
-                            attempt_spans.pop(comp.task_id, -1),
-                            status="stale",
-                        )
-                        tel.adopt(comp.spans)
-                    continue  # cancelled clone that finished anyway
-                slot.inflight -= 1
-                in_executor -= 1
+                slot = tasks.pop(comp.task_id)
                 if tel is not None:
                     tel.end(
                         attempt_spans.pop(comp.task_id, -1),
                         status="ok" if comp.ok else "error",
                     )
                     tel.adopt(comp.spans)
-                    if slot.cloned and not slot.done and comp.ok:
-                        name = (
-                            "speculation_wins"
-                            if comp.task_id in clone_ids
-                            else "speculation_losses"
-                        )
-                        tel.metrics.counter(name).inc()
-                if slot.done:
-                    # the sibling already won; this straggler was the
-                    # last attempt keeping the cell span open.
-                    if tel is not None and slot.inflight == 0:
-                        tel.end(cell_spans.pop(slot.index, -1), status="ok")
-                    continue
                 if comp.ok:
                     finish(slot, comp.payload, comp.compute_s)
                 else:
-                    slot.last_error = comp.error
-                    if slot.inflight == 0:
-                        # no sibling left to save the cell: backfill now
-                        # (streaming -- not after the whole sweep).
-                        backfill(slot)
-        if tel is not None:
-            # the loop exits as soon as every result is in; speculative
-            # clones the executor could not cancel may still be running
-            # and die with the executor shutdown.  Close their spans
-            # here so nothing outlives the dispatch (nesting invariant).
-            for task_id in list(attempt_spans):
-                tel.end(attempt_spans.pop(task_id), status="abandoned")
-            for index in list(cell_spans):
-                tel.end(cell_spans.pop(index), status="ok")
+                    # streaming: backfill the moment the attempt fails,
+                    # not after the whole sweep.
+                    backfill(slot, comp.error)
         return results

@@ -8,8 +8,7 @@ directly; it talks to an :class:`Executor`:
 * :meth:`Executor.wait` blocks until at least one submitted task has
   finished and returns its :class:`Completion`\\ s -- streaming, in
   completion order, never head-of-line blocked on the slowest task;
-* :meth:`Executor.cancel` is the best-effort kill switch speculation
-  uses on the losing clone.
+* :meth:`Executor.close` shuts the transport down.
 
 Two implementations:
 
@@ -21,13 +20,13 @@ Two implementations:
   completions and rebuilds the pool, so the dispatch core's retry path
   sees an ordinary failure instead of a lost sweep.
 
-Executors are transport, not policy: retries, ordering, speculation and
-caching all live in the dispatch core, so both transports share the
-same semantics.  The pool's rebuild budget comes from the
+Executors are transport, not policy: retries, ordering and caching all
+live in the dispatch core, so both transports share the same semantics.
+The pool's rebuild budget comes from the
 :class:`~repro.runner.resilience.RetryPolicy`, and each rebuild (or the
 pool's death once the budget is spent) is reported through an optional
-``on_event`` callback with audit fields, which the runner forwards to
-the observability plane and the sweep journal.  Transport chaos wraps
+``on_event`` callback with audit fields, which the runner records as a
+recovery event.  Transport chaos wraps
 either executor in the parent-side
 :class:`~repro.runner.resilience.ChaosExecutor`.
 """
@@ -45,7 +44,7 @@ from typing import Callable, Optional
 
 @dataclass(frozen=True)
 class Task:
-    """One dispatched cell execution (possibly a speculative clone)."""
+    """One dispatched cell execution."""
 
     task_id: int
     #: picklable/JSON-able cell spec: (kind, param_dict, seed).
@@ -98,15 +97,15 @@ def _execute_task(task: Task) -> Completion:
 
     t0 = time.perf_counter()
     w0 = time.time()
+    # a cell's error is carried to the core; an interrupt or exit (not
+    # an Exception) propagates instead of failing one cell.
     try:
         payload = execute_cell(Cell.make(task.kind, task.params, task.seed))
-    except BaseException as exc:  # noqa: BLE001 - carried to the core
+    except Exception as exc:  # noqa: BLE001 - carried to the core
         return Completion(
             task.task_id,
             error=exc,
-            spans=_compute_span(
-                task.span_id, task.kind, w0, time.time(), "error"
-            ),
+            spans=_compute_span(task.span_id, task.kind, w0, time.time(), "error"),
         )
     return Completion(
         task.task_id,
@@ -143,13 +142,6 @@ class InProcessExecutor(_ExecutorContext):
         if not self._queue:
             raise ExecutorError("wait() with no submitted task")
         return [_execute_task(self._queue.popleft())]
-
-    def cancel(self, task_id: int) -> bool:
-        for task in self._queue:
-            if task.task_id == task_id:
-                self._queue.remove(task)
-                return True
-        return False
 
     def close(self) -> None:
         self._queue.clear()
@@ -216,9 +208,7 @@ class PoolExecutor(_ExecutorContext):
             self._lost.append(
                 Completion(
                     task.task_id,
-                    error=ExecutorError(
-                        "process pool is dead (rebuild budget spent)"
-                    ),
+                    error=ExecutorError("process pool is dead (rebuild budget spent)"),
                 )
             )
             return
@@ -283,17 +273,6 @@ class PoolExecutor(_ExecutorContext):
         from concurrent.futures.process import BrokenProcessPool
 
         return isinstance(exc, BrokenProcessPool)
-
-    def cancel(self, task_id: int) -> bool:
-        for comp in self._lost:
-            if comp.task_id == task_id:
-                self._lost.remove(comp)
-                return True
-        for fut, tid in list(self._futures.items()):
-            if tid == task_id and fut.cancel():
-                del self._futures[fut]
-                return True
-        return False
 
     def close(self) -> None:
         self._pool.shutdown(wait=False, cancel_futures=True)

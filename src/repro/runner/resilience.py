@@ -94,7 +94,7 @@ class RetryPolicy:
 
     @classmethod
     def from_cell_retries(cls, cell_retries: int, **kw) -> "RetryPolicy":
-        """The legacy knob: ``cell_retries`` extra attempts after the first."""
+        """``--retries N``: ``cell_retries`` extra attempts after the first."""
         return cls(max_attempts=1 + cell_retries, **kw)
 
     def backoff_s(self, channel: str, attempt: int) -> float:
@@ -250,17 +250,6 @@ class ChaosExecutor:
                 )
             out.append(comp)
         return out
-
-    def cancel(self, task_id: int) -> bool:
-        for comp in self._synthetic:
-            if comp.task_id == task_id:
-                self._synthetic.remove(comp)
-                return True
-        if self.inner.cancel(task_id):
-            self._doomed.pop(task_id, None)
-            self._delays.pop(task_id, None)
-            return True
-        return False
 
     def close(self) -> None:
         self._synthetic.clear()

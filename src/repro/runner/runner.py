@@ -85,12 +85,9 @@ class RunReport:
     wall_s: float
     #: cell executions actually performed (cache hits and dedupe excluded)
     n_cell_runs: int
-    #: runner-level observability snapshot (wall-clock progress events);
-    #: deliberately NOT part of merged() -- wall times differ per run.
-    obs: Optional[dict] = None
     #: runner telemetry snapshot (wall-clock spans + metrics registry);
-    #: like ``obs``, never part of merged() -- spans live beside, not
-    #: inside, the deterministic artifacts.
+    #: never part of merged() -- spans live beside, not inside, the
+    #: deterministic artifacts.
     telemetry: Optional[dict] = None
 
     def merged(self) -> dict:
@@ -109,10 +106,10 @@ class ExperimentRunner:
     ``cost_hints`` maps cell_id -> expected seconds (e.g. a previous
     report's ``timings``) and seeds the cost model's ordering.
 
-    ``retry_policy`` overrides the legacy ``cell_retries`` knob with a
-    full :class:`~repro.runner.resilience.RetryPolicy` (attempts,
-    backoff, poisonous-error classification, the pool's rebuild budget);
-    ``journal`` (a path or a
+    ``retry_policy`` is the one
+    :class:`~repro.runner.resilience.RetryPolicy` (attempts, backoff,
+    poisonous-error classification, the pool's rebuild budget; default
+    ``RetryPolicy()``, 3 attempts); ``journal`` (a path or a
     :class:`~repro.runner.resilience.SweepJournal`) records the sweep
     as crash-safe JSONL; ``resume=True`` restarts a killed sweep over
     that journal plus the cache, re-executing only unfinished cells;
@@ -124,10 +121,7 @@ class ExperimentRunner:
         cache: Optional[ResultCache] = None,
         parallel: int = 1,
         dedupe: bool = True,
-        cell_retries: int = 2,
-        obs=None,
         executor: Optional[str] = None,
-        speculate: int = 1,
         cost_hints: Optional[dict] = None,
         retry_policy: Optional[RetryPolicy] = None,
         journal=None,
@@ -138,10 +132,6 @@ class ExperimentRunner:
     ):
         if parallel < 1:
             raise ValueError(f"parallel must be >= 1, got {parallel}")
-        if cell_retries < 0:
-            raise ValueError(
-                f"cell_retries must be >= 0, got {cell_retries}"
-            )
         if executor is not None and executor not in EXECUTORS:
             raise ValueError(
                 f"unknown executor {executor!r}: expected one of {EXECUTORS}"
@@ -156,23 +146,14 @@ class ExperimentRunner:
         self.cache = cache
         self.parallel = parallel
         self.dedupe = dedupe
-        self.cell_retries = cell_retries
         self.executor_spec = executor
-        self.speculate = max(0, int(speculate))
         self.cost_hints = dict(cost_hints or {})
-        self.retry_policy = retry_policy or RetryPolicy.from_cell_retries(
-            cell_retries
-        )
+        self.retry_policy = retry_policy or RetryPolicy()
         self.journal = journal
         self.resume = resume
         self.chaos_plan = chaos_plan
         #: the journal of the currently-running sweep (set inside run()).
         self._journal: Optional[SweepJournal] = None
-        self._run_t0 = 0.0
-        #: runner-scope observability plane (wall-clock progress events;
-        #: kept out of every byte-compared artifact).
-        self.obs = obs
-        self._obs_runner = obs is not None and obs.wants("runner")
         #: runner telemetry (wall-clock spans + metrics); a disabled
         #: instance collapses to None so the off path is one `is not
         #: None` check per instrumentation point.
@@ -181,11 +162,6 @@ class ExperimentRunner:
         ) else None
         self.progress = bool(progress)
         self._sweep_span = -1
-
-    def _emit(self, name: str, t0: float, **args) -> None:
-        if self._obs_runner:
-            self.obs.emit("runner", name, time.perf_counter() - t0,
-                          node="runner", **args)
 
     def _journal_rec(self, record: dict) -> None:
         if self._journal is not None:
@@ -213,11 +189,7 @@ class ExperimentRunner:
                 last = exc
                 if tel is not None:
                     tel.metrics.counter(
-                        "retries",
-                        classification=(
-                            "poisonous" if policy.is_poisonous(exc)
-                            else self._classify(exc)
-                        ),
+                        "retries", classification=self._classify(exc)
                     ).inc()
                 if policy.is_poisonous(exc):
                     break
@@ -230,9 +202,6 @@ class ExperimentRunner:
                         "error": repr(exc),
                         "backoff_s": backoff,
                     })
-                    self._emit("retry", self._run_t0,
-                               cell=cell.cell_id, attempt=attempt,
-                               backoff_s=backoff)
                     if backoff > 0.0:
                         if tel is not None:
                             with tel.span(
@@ -253,11 +222,12 @@ class ExperimentRunner:
         })
         raise CellExecutionError(cell.cell_id, last)
 
-    @staticmethod
-    def _classify(error: BaseException) -> str:
+    def _classify(self, error: BaseException) -> str:
         """Retry classification label for the telemetry registry."""
         from concurrent.futures import BrokenExecutor
 
+        if self.retry_policy.is_poisonous(error):
+            return "poisonous"
         if isinstance(error, ChaosFault):
             return "chaos"
         if isinstance(error, (ExecutorError, BrokenExecutor, OSError)):
@@ -278,38 +248,42 @@ class ExperimentRunner:
         tel = self.telemetry
 
         def recover_event(name: str, **fields) -> None:
-            # one audit trail, two sinks: the obs plane (wall-clock
-            # timeline) and the sweep journal (crash-safe record).
-            self._emit(name, self._run_t0, **fields)
+            # the one place a recovery event -- from the chaos wrapper,
+            # the pool or the dispatch core -- is recorded, in three
+            # sinks: the sweep journal (crash-safe audit record), the
+            # telemetry and the progress line.
             self._journal_rec({"rec": "recover", "event": name, **fields})
-            if tel is not None and name in (
-                "chaos_refuse", "chaos_doom", "pool_rebuild", "pool_dead"
-            ):
-                # the dispatch core spans its own recovery; the chaos
-                # wrapper and the pool have no telemetry handle.
-                point = (
-                    "chaos_injection"
-                    if name.startswith("chaos") else name
+            chaos = name.startswith("chaos")
+            if tel is not None and name != "backfill":
+                # a backfill is already the core's span around the
+                # parent's recompute; every other event is one mark.
+                tel.instant(
+                    "chaos_injection" if chaos else name,
+                    cat="transport",
+                    lane="fleet",
+                    event=name,
+                    **fields,
                 )
-                tel.instant(point, cat="transport", lane="fleet",
-                            event=name, **fields)
-                if name.startswith("chaos"):
+                if chaos:
                     tel.metrics.counter(
                         "chaos_injected", kind=fields.get("kind", name)
                     ).inc()
             if progress is not None:
-                if name.startswith("chaos"):
+                if chaos:
                     progress.chaos += 1
                 elif name == "backfill":
                     progress.retries += 1
                 progress.update()
 
         def local_retry(cell, last_error):
-            # an in-process cell failure already consumed one parent
-            # attempt; transport losses and injected chaos did not --
-            # the cell itself never genuinely failed.
+            # a poisonous error fails the cell outright; an in-process
+            # cell failure already consumed one parent attempt;
+            # transport losses and injected chaos did not -- the cell
+            # itself never genuinely failed.
             attempts = self.retry_policy.max_attempts
-            if spec == "inprocess" and not isinstance(
+            if self.retry_policy.is_poisonous(last_error):
+                attempts = 0
+            elif spec == "inprocess" and not isinstance(
                 last_error, (ChaosFault, ExecutorError)
             ):
                 attempts -= 1
@@ -332,7 +306,6 @@ class ExperimentRunner:
                 local_retry=local_retry,
                 on_result=on_result,
                 on_event=recover_event,
-                speculate=self.speculate if spec != "inprocess" else 0,
                 telemetry=tel,
                 parent_span=self._sweep_span if tel is not None else None,
             )
@@ -340,7 +313,6 @@ class ExperimentRunner:
 
     def run(self, requests: list[ExperimentRequest]) -> RunReport:
         t0 = time.perf_counter()
-        self._run_t0 = t0
         journal = self.journal
         owns_journal = False
         if isinstance(journal, (str, os.PathLike)):
@@ -411,7 +383,6 @@ class ExperimentRunner:
                 # cached timings calibrate the cost model so the cells
                 # that do run are ordered longest-expected-first.
                 cost_model.observe(unique[cell_id], secs)
-                self._emit("cache_hit", t0, cell=cell_id)
 
         if self.dedupe:
             to_run = [
@@ -455,8 +426,6 @@ class ExperimentRunner:
                     "prior_planned": len(prior.planned),
                 })
         if to_run:
-            self._emit("dispatch", t0, n_cells=len(to_run),
-                       parallel=self.parallel)
             progress = (
                 SweepProgress(len(to_run)) if self.progress else None
             )
@@ -482,8 +451,6 @@ class ExperimentRunner:
                     "cell": cell.cell_id,
                     "compute_s": secs,
                 })
-                self._emit("cell_done", t0, cell=cell.cell_id,
-                           compute_s=secs)
                 if progress is not None:
                     pending.pop(cell.cell_id, None)
                     progress.update(
@@ -509,7 +476,6 @@ class ExperimentRunner:
                 role: payloads[cell.cell_id] for role, cell in role_cells
             }
             experiments[req.experiment_id] = aggregate_request(req, by_role)
-            self._emit("aggregate", t0, experiment=req.experiment_id)
 
         cells_sorted = {cid: payloads[cid] for cid in sorted(payloads)}
         if tel is not None:
@@ -530,10 +496,5 @@ class ExperimentRunner:
             ),
             wall_s=time.perf_counter() - t0,
             n_cell_runs=n_cell_runs,
-            obs=(
-                self.obs.snapshot(include_runner=True)
-                if self.obs is not None
-                else None
-            ),
             telemetry=tel.snapshot() if tel is not None else None,
         )

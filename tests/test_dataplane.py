@@ -256,12 +256,8 @@ def test_core_opt_out_is_per_node_not_cluster_wide(rounds):
         )
         for i in range(2)
     ]
-    opted_out = VPIReader(
-        servers[0], plane=plane, node_index=0, want_core=False
-    )
-    opted_in = VPIReader(
-        servers[1], plane=plane, node_index=1, want_core=True
-    )
+    opted_out = VPIReader(servers[0], plane=plane, node_index=0, want_core=False)
+    opted_in = VPIReader(servers[1], plane=plane, node_index=1, want_core=True)
     assert opted_out._hub is opted_in._hub
     for flat in rounds:
         inc = np.array(flat, dtype=np.float64).reshape(N_LCPUS, N_EVENTS)

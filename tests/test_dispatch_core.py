@@ -106,9 +106,7 @@ def test_dispatch_order_never_changes_merged_bytes():
     assert model.estimate(cells[-1]) > model.estimate(cells[0])
     merged = []
     for hints in (fifo_hints, None):
-        runner = ExperimentRunner(
-            parallel=2, executor="pool", speculate=0, cost_hints=hints
-        )
+        runner = ExperimentRunner(parallel=2, executor="pool", cost_hints=hints)
         merged.append(runner.run(requests).merged_bytes())
     assert merged[0] == merged[1]
 
@@ -162,9 +160,7 @@ def test_failed_remote_attempt_is_backfilled_streaming():
 
         return execute_cell(cell), 0.0
 
-    results = DispatchCore(
-        _FlakyExecutor(), local_retry=local_retry
-    ).run(cells)
+    results = DispatchCore(_FlakyExecutor(), local_retry=local_retry).run(cells)
     assert len(backfilled) == 3
     assert all(r is not None for r in results)
 
@@ -187,9 +183,7 @@ def test_dead_transport_recovers_in_parent():
 
         return execute_cell(cell), 0.0
 
-    results = DispatchCore(
-        _BrokenExecutor(), local_retry=local_retry
-    ).run(cells)
+    results = DispatchCore(_BrokenExecutor(), local_retry=local_retry).run(cells)
     assert len(recovered) == 2
     assert all(r is not None for r in results)
 
@@ -211,14 +205,6 @@ def test_make_executor_rejects_unknown_spec():
 def test_inprocess_wait_without_submit_raises():
     with pytest.raises(ExecutorError):
         InProcessExecutor().wait()
-
-
-def test_inprocess_cancel_removes_queued_task():
-    ex = InProcessExecutor()
-    cell = _cells(1)[0]
-    ex.submit(Task(0, cell.kind, cell.param_dict, cell.seed))
-    assert ex.cancel(0) is True
-    assert ex.cancel(0) is False
 
 
 @pytest.mark.slow
@@ -273,9 +259,7 @@ def test_pool_rebuild_budget_bounds_worker_death_recovery(budget):
         on_event=lambda name, **fields: events.append(name),
     )
     try:
-        results = DispatchCore(
-            ex, speculate=0, local_retry=local_retry
-        ).run(cells)
+        results = DispatchCore(ex, local_retry=local_retry).run(cells)
     finally:
         ex.close()
     reference = DispatchCore(InProcessExecutor()).run(cells)

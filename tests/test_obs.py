@@ -147,15 +147,18 @@ def test_plane_gating_and_node_scope():
     assert plane.metrics is None  # no "metrics" category
 
 
-def test_plane_snapshot_excludes_runner_by_default():
+def test_plane_snapshot_has_no_runner_category():
+    # wall-clock runner events belong to the runner telemetry plane; the
+    # sim-time plane neither accepts nor records them.
+    with pytest.raises(ValueError, match="unknown observability"):
+        ObservabilityPlane(categories=("runner",))
     plane = ObservabilityPlane.from_spec("all")
     plane.emit("sched", "a", 1.0)
     plane.emit("runner", "progress", 0.1, node="runner")
     snap = plane.snapshot()
     assert [e["cat"] for e in snap["events"]] == ["sched"]
     assert snap["n_events"] == 1
-    full = plane.snapshot(include_runner=True)
-    assert [e["cat"] for e in full["events"]] == ["sched", "runner"]
+    assert "runner" not in snap["categories"]
     assert "metrics" in snap
 
 

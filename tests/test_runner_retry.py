@@ -1,12 +1,14 @@
-"""Runner robustness: crashed pool workers, poisoned pools, and the
-bounded in-process retry budget.
+"""Runner robustness: crashed pool workers, poisoned pools, the
+bounded in-process retry budget, and poisonous errors that no retry
+can help.
 """
 
 import os
 
 import pytest
 
-from repro.runner import CellExecutionError, ExperimentRunner
+from repro.obs.runner import RunnerTelemetry
+from repro.runner import CellExecutionError, ExperimentRunner, RetryPolicy
 from repro.runner import aggregate as agg_mod
 from repro.runner import cells as cells_mod
 from repro.runner.aggregate import ExperimentRequest, ExperimentSpec
@@ -16,6 +18,8 @@ from repro.runner.aggregate import ExperimentRequest, ExperimentSpec
 PARENT_PID = os.getpid()
 
 _FLAKY_FAILURES = {"left": 0}
+#: executions of the cells that raise MemoryError / KeyboardInterrupt
+_RUNS = {"poisonous": 0, "interrupted": 0}
 
 
 def _poisoned_cell(params: dict, seed: int) -> dict:
@@ -37,10 +41,22 @@ def _flaky_cell(params: dict, seed: int) -> dict:
     return {"ok": True}
 
 
+def _poisonous_cell(params: dict, seed: int) -> dict:
+    _RUNS["poisonous"] += 1
+    raise MemoryError("no retry can help")
+
+
+def _interrupted_cell(params: dict, seed: int) -> dict:
+    _RUNS["interrupted"] += 1
+    raise KeyboardInterrupt
+
+
 _KINDS = {
     "poisoned": _poisoned_cell,
     "failing": _failing_cell,
     "flaky": _flaky_cell,
+    "poisonous": _poisonous_cell,
+    "interrupted": _interrupted_cell,
 }
 
 
@@ -83,7 +99,9 @@ def test_poisoned_pool_loses_no_benign_cells(custom_kinds):
 
 @pytest.mark.parametrize("parallel", [1, 2])
 def test_persistent_failure_raises_with_cell_id(custom_kinds, parallel):
-    runner = ExperimentRunner(parallel=parallel, cell_retries=1)
+    runner = ExperimentRunner(
+        parallel=parallel, retry_policy=RetryPolicy.from_cell_retries(1)
+    )
     with pytest.raises(CellExecutionError) as exc_info:
         runner.run([ExperimentRequest.make("failing_exp", {}, 7)])
     assert "failing" in str(exc_info.value)
@@ -93,9 +111,9 @@ def test_persistent_failure_raises_with_cell_id(custom_kinds, parallel):
 
 def test_transient_failure_is_retried(custom_kinds):
     _FLAKY_FAILURES["left"] = 1
-    report = ExperimentRunner(parallel=1, cell_retries=2).run(
-        [ExperimentRequest.make("flaky_exp", {}, 3)]
-    )
+    report = ExperimentRunner(
+        parallel=1, retry_policy=RetryPolicy.from_cell_retries(2)
+    ).run([ExperimentRequest.make("flaky_exp", {}, 3)])
     (result,) = report.experiments.values()
     assert result == {"ok": True}
     assert _FLAKY_FAILURES["left"] == 0
@@ -103,14 +121,44 @@ def test_transient_failure_is_retried(custom_kinds):
 
 def test_zero_retry_budget_fails_on_transient(custom_kinds):
     _FLAKY_FAILURES["left"] = 1
-    runner = ExperimentRunner(parallel=1, cell_retries=0)
+    runner = ExperimentRunner(
+        parallel=1, retry_policy=RetryPolicy.from_cell_retries(0)
+    )
     with pytest.raises(CellExecutionError):
         runner.run([ExperimentRequest.make("flaky_exp", {}, 3)])
 
 
+def test_poisonous_failure_is_not_retried(custom_kinds):
+    """A poisonous error (here MemoryError) fails the cell on its first
+    execution, and the telemetry labels that one failure poisonous."""
+    _RUNS["poisonous"] = 0
+    tel = RunnerTelemetry()
+    runner = ExperimentRunner(parallel=1, telemetry=tel)
+    with pytest.raises(CellExecutionError) as exc_info:
+        runner.run([ExperimentRequest.make("poisonous_exp", {}, 5)])
+    assert isinstance(exc_info.value.last_error, MemoryError)
+    assert _RUNS["poisonous"] == 1
+    metrics = tel.snapshot()["metrics"]
+    retries = {
+        k: v["value"] for k, v in metrics.items() if k.startswith("retries")
+    }
+    assert retries == {"retries{classification=poisonous}": 1}
+
+
+def test_interrupt_in_an_in_process_cell_propagates(custom_kinds):
+    """An interrupt is not a cell failure: it leaves the sweep at once,
+    as itself, without a parent retry."""
+    _RUNS["interrupted"] = 0
+    with pytest.raises(KeyboardInterrupt):
+        ExperimentRunner(parallel=1).run(
+            [ExperimentRequest.make("interrupted_exp", {}, 5)]
+        )
+    assert _RUNS["interrupted"] == 1
+
+
 def test_runner_ctor_validation():
     with pytest.raises(ValueError):
-        ExperimentRunner(cell_retries=-1)
+        RetryPolicy.from_cell_retries(-1)
     with pytest.raises(ValueError):
         ExperimentRunner(parallel=0)
     # an executor name the runner no longer has fails loudly, naming the

@@ -5,13 +5,14 @@ The invariants pinned here are the ones the layer promises:
 * payloads are byte-identical with tracing on or off, on every executor
   (spans live beside, never inside, the deterministic artifacts);
 * span intervals are well-formed -- start <= end, children inside their
-  parents -- even under the canned transport chaos plan;
+  parents -- even under the canned transport chaos plan, where every
+  cell is attempted once and every journalled recovery event has its
+  one mark in the trace;
 * a pool worker killed mid-cell leaves an errored attempt, a
   ``pool_rebuild`` instant and a parent backfill under the same cell
   span in the trace;
 * exported Chrome traces satisfy the trace-event contract (matched B/E
-  brackets, non-decreasing timestamps per pid/tid), including merged
-  multi-shard traces;
+  brackets, non-decreasing timestamps per pid/tid);
 * ``repro trace sweep`` reconstructs a timeline from the journal alone,
   and a ``--resume``\\ d journal shows cached-replay cells as zero-width
   instants.
@@ -20,7 +21,10 @@ The invariants pinned here are the ones the layer promises:
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+import tempfile
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +32,6 @@ from hypothesis import given, settings, strategies as st
 from repro.obs.runner import (
     RunnerTelemetry,
     SweepProgress,
-    merge_snapshots,
     runner_chrome_trace,
     timeline_from_journal,
     validate_runner_trace,
@@ -122,28 +125,6 @@ def test_adopt_assigns_lane_from_worker_pid():
     assert compute[0]["parent"] == parent
 
 
-def test_merge_snapshots_remaps_ids_and_tags_hosts():
-    snaps = []
-    for host in ("a", "a"):  # duplicate names must not collide
-        tel = RunnerTelemetry(host=host)
-        root = tel.begin("sweep")
-        child = tel.begin("cell", parent=root)
-        tel.end(child)
-        tel.end(root)
-        tel.metrics.counter("cache_hits").inc()
-        snaps.append(tel.snapshot())
-    merged = merge_snapshots(snaps)
-    hosts = {s["host"] for s in merged["spans"]}
-    assert hosts == {"a", "a#2"}
-    ids = [s["id"] for s in merged["spans"]]
-    assert len(ids) == len(set(ids)) == 4
-    by_id = {s["id"]: s for s in merged["spans"]}
-    for s in merged["spans"]:
-        if s["parent"] is not None:
-            assert by_id[s["parent"]]["host"] == s["host"]
-    assert set(merged["metrics"]) == {"a/cache_hits", "a#2/cache_hits"}
-
-
 # -- byte identity across executors --------------------------------------------
 
 
@@ -190,9 +171,9 @@ def test_pool_worker_death_leaves_recovery_story_in_trace():
     )
     requests = [poison] + _sleep_requests(2)
     tel = RunnerTelemetry()
-    report = ExperimentRunner(
-        parallel=2, executor="pool", telemetry=tel, speculate=0
-    ).run(requests)
+    report = ExperimentRunner(parallel=2, executor="pool", telemetry=tel).run(
+        requests
+    )
     clean = ExperimentRunner(parallel=1).run(requests)
     assert report.merged_bytes() == clean.merged_bytes()
 
@@ -224,19 +205,40 @@ def test_pool_worker_death_leaves_recovery_story_in_trace():
 def test_spans_well_formed_under_canned_chaos_plan(seed):
     """Property: whatever the canned chaos plan does to the transport,
     every recorded interval is well-formed and the exported trace obeys
-    the Chrome contract."""
+    the Chrome contract.  Chaos never resubmits a cell (the parent
+    backfills it), so each cell has exactly one attempt and no span is
+    left cancelled, stale or abandoned; and the journal's ``recover``
+    records match the trace's marks one to one."""
     plan_json = CANNED_PLAN.read_text()
     plan = json.loads(plan_json)
     plan["seed"] = seed
     tel = RunnerTelemetry()
-    report = ExperimentRunner(
-        parallel=2,
-        chaos_plan=json.dumps(plan, separators=(",", ":"), sort_keys=True),
-        telemetry=tel,
-    ).run(_sleep_requests(3))
+    with tempfile.TemporaryDirectory() as tmp:
+        journal = os.path.join(tmp, "journal.jsonl")
+        report = ExperimentRunner(
+            parallel=2,
+            chaos_plan=json.dumps(plan, separators=(",", ":"), sort_keys=True),
+            telemetry=tel,
+            journal=journal,
+        ).run(_sleep_requests(3))
+        records = SweepJournal.load(journal)
     snap = report.telemetry
     _assert_well_formed(snap)
     assert validate_runner_trace(runner_chrome_trace(snap)) == []
+
+    spans = snap["spans"]
+    attempts = Counter(s["args"]["cell"] for s in spans if s["name"] == "cell_attempt")
+    assert attempts == {cell_id: 1 for cell_id in report.cells}
+    assert not {s["status"] for s in spans} & {"cancelled", "stale", "abandoned"}
+
+    recovers = [r for r in records if r.get("rec") == "recover"]
+    backfilled = [r["cell"] for r in recovers if r["event"] == "backfill"]
+    marked = [r["event"] for r in recovers if r["event"] != "backfill"]
+    backfill_spans = [s["args"]["cell"] for s in spans if s["name"] == "backfill"]
+    assert sorted(backfilled) == sorted(backfill_spans)
+    marks = [s for s in spans if s["lane"] == "fleet"]
+    assert all(s["t0"] == s["t1"] for s in marks)
+    assert sorted(s["args"]["event"] for s in marks) == sorted(marked)
 
 
 # -- journal reconstruction and resume -----------------------------------------
