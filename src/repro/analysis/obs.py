@@ -141,8 +141,6 @@ def format_span_timeline(snapshot: dict, max_spans: int = 200) -> str:
         status = span.get("status", "ok")
         status = "" if status == "ok" else f"  [{status}]"
         lane = span.get("lane", "?")
-        host = span.get("host")
-        lane = f"{host}/{lane}" if host else lane
         args = _fmt_args(span.get("args") or {}, limit=4)
         args = f"  {args}" if args else ""
         lines.append(

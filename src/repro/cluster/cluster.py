@@ -191,3 +191,16 @@ class Cluster:
         for node in self.nodes:
             if node.holmes is not None:
                 node.holmes.stop()
+
+    def close(self) -> None:
+        """Tear down a finished cluster so reference counting frees it.
+
+        Closes the shared environment once, finalizing every node's live
+        threads in creation order across the cluster, then tears down
+        each node's machine (:meth:`System.close`, which finds the
+        environment already closed).  Call it once the run's result has
+        been read; idempotent.
+        """
+        self.env.close()
+        for node in self.nodes:
+            node.system.close()

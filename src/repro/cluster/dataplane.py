@@ -48,6 +48,7 @@ reports between the two.
 from __future__ import annotations
 
 import os
+import weakref
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -94,7 +95,9 @@ class _UsageHub:
     """
 
     def __init__(self, plane: "ClusterDataPlane"):
-        self.plane = plane
+        # weak: the plane owns its hubs, and a strong link back would
+        # make the two a reference cycle
+        self.plane = weakref.proxy(plane)
         n_nodes, n_lcpus = plane.busy.shape
         self._last = np.zeros((n_nodes, n_lcpus), dtype=np.float64)
         self._prev_t = np.zeros(n_nodes, dtype=np.float64)
@@ -172,7 +175,7 @@ class _VPIHub:
         min_instructions: float,
         n_cores: int,
     ):
-        self.plane = plane
+        self.plane = weakref.proxy(plane)  # weak, as in _UsageHub
         self.cols = cols
         self.scale = scale
         self.min_instructions = min_instructions

@@ -102,181 +102,183 @@ def run_cluster_sweep(
         n_servers=n_nodes, seed=seed, holmes_config=holmes_cfg, faults=plan,
         obs=plane,
     )
+    try:
+        weights = score_weights or ScoreWeights()
+        predictor = None
+        if policy == "predictor":
+            from repro.profiling import default_predictor
 
-    weights = score_weights or ScoreWeights()
-    predictor = None
-    if policy == "predictor":
-        from repro.profiling import default_predictor
-
-        # the profiling stage is an offline calibration artifact: its
-        # seed is independent of the sweep seed, so one profile set
-        # steers every sweep (and the in-process probe run is cached).
-        predictor = default_predictor(
-            seed=predict_probe_seed, lc_weight=predict_lc_weight
+            # the profiling stage is an offline calibration artifact: its
+            # seed is independent of the sweep seed, so one profile set
+            # steers every sweep (and the in-process probe run is cached).
+            predictor = default_predictor(
+                seed=predict_probe_seed, lc_weight=predict_lc_weight
+            )
+            admit, relocate, margin = (
+                predict_admit_threshold,
+                predict_relocate_threshold,
+                predict_relocate_margin,
+            )
+        else:
+            admit, relocate, margin = (
+                admit_threshold, relocate_threshold, relocate_margin
+            )
+        gated = policy in ("score", "predictor")
+        scheduler = ClusterBatchScheduler(
+            cluster,
+            check_interval_us=check_interval_us,
+            tasks_per_container=churn.tasks_per_container,
+            policy=policy,
+            score_weights=weights,
+            admit_threshold=admit if gated else None,
+            relocate_threshold=relocate if gated else None,
+            relocate_margin=margin,
+            max_resubmits=max_resubmits,
+            obs=plane,
+            predictor=predictor,
         )
-        admit, relocate, margin = (
-            predict_admit_threshold,
-            predict_relocate_threshold,
-            predict_relocate_margin,
-        )
-    else:
-        admit, relocate, margin = (
-            admit_threshold, relocate_threshold, relocate_margin
-        )
-    gated = policy in ("score", "predictor")
-    scheduler = ClusterBatchScheduler(
-        cluster,
-        check_interval_us=check_interval_us,
-        tasks_per_container=churn.tasks_per_container,
-        policy=policy,
-        score_weights=weights,
-        admit_threshold=admit if gated else None,
-        relocate_threshold=relocate if gated else None,
-        relocate_margin=margin,
-        max_resubmits=max_resubmits,
-        obs=plane,
-        predictor=predictor,
-    )
 
-    root_rng = np.random.default_rng(seed)
-    node_rngs = root_rng.spawn(n_nodes)
-    arrival_rng = np.random.default_rng(seed + 104729)
+        root_rng = np.random.default_rng(seed)
+        node_rngs = root_rng.spawn(n_nodes)
+        arrival_rng = np.random.default_rng(seed + 104729)
 
-    loads = [
-        LCPhaseLoad(node, churn, duration_us, rng)
-        for node, rng in zip(cluster.nodes, node_rngs)
-    ]
-    for load in loads:
-        load.start()
-    arrivals = JobArrivalProcess(scheduler, churn, duration_us, arrival_rng)
-    scheduler.start()
-    arrivals.start()
-    if plan is not None:
-        start_cluster_drivers(cluster, plan)
-
-    cluster.run(until=duration_us)
-    scheduler.stop()
-    cluster.stop_daemons()
-
-    # -- LC latency ------------------------------------------------------
-    lat_arrays = [ld.recorder.latencies() for ld in loads]
-    all_lat = (
-        np.concatenate(lat_arrays)
-        if any(a.size for a in lat_arrays)
-        else np.empty(0)
-    )
-    hw_cfg = cluster.nodes[0].system.server.config
-    nominal_us = churn.lc_request_lines * hw_cfg.dram_line_latency_us
-    slo_us = slo_multiplier * nominal_us
-    per_node_p99 = [
-        float(np.percentile(a, 99)) for a in lat_arrays if a.size
-    ]
-
-    # -- batch outcomes --------------------------------------------------
-    finished = scheduler.finished_jobs()
-    durations = [
-        j.instance.finished_at - j.started_at
-        for j in finished
-        if j.started_at is not None
-    ]
-    queue_delays = [
-        j.queue_delay_us
-        for j in scheduler.jobs
-        if j.queue_delay_us is not None and j.queue_delay_us > 0.0
-    ]
-    final_scores = [scheduler.node_score(n) for n in cluster.nodes]
-
-    payload = {
-        "policy": policy,
-        "n_nodes": int(n_nodes),
-        "n_jobs": int(n_jobs),
-        "duration_us": float(duration_us),
-        "seed": int(seed),
-        "lc": {
-            "latency": latency_summary(all_lat),
-            "slo_us": float(slo_us),
-            "slo_violation_ratio": (
-                float((all_lat > slo_us).mean()) if all_lat.size else None
-            ),
-            "per_node_p99_us": _summary(per_node_p99),
-        },
-        "batch": {
-            "submitted": len(scheduler.jobs),
-            "admitted": int(scheduler.admitted),
-            "enqueued": int(scheduler.enqueued),
-            "rejected": int(scheduler.rejected),
-            "still_queued": len(scheduler.queued_jobs()),
-            "completed": len(finished),
-            "jobs_per_s": len(finished) / (duration_us / 1e6),
-            "job_duration": _summary(durations),
-            "queue_delay": _summary(queue_delays),
-            "relocations": {
-                "total": int(scheduler.relocations),
-                "stall": int(scheduler.stall_relocations),
-                "preemptive": int(scheduler.preemptive_relocations),
-            },
-        },
-        "nodes": {
-            "final_score_mean": float(np.mean(final_scores)),
-            "final_score_max": float(np.max(final_scores)),
-        },
-    }
-    if policy == "predictor":
-        # predictor-only section: other policies' payloads stay
-        # byte-identical to pre-profiling sweeps.
-        payload["predictor"] = {
-            "probe_seed": int(predict_probe_seed),
-            "admit_threshold": float(predict_admit_threshold),
-            "relocate_threshold": float(predict_relocate_threshold),
-            "relocate_margin": float(predict_relocate_margin),
-            "lc_weight": float(predict_lc_weight),
-            "model": predictor.model.to_dict(),
-            "families": sorted(predictor.profiles),
-        }
-    if plan is not None:
-        # chaos-only section: with faults=None the payload above is
-        # byte-identical to a plain sweep.
-        payload["faults"] = {
-            "plan": plan.to_dict(),
-            "node_failures": int(sum(n.failures for n in cluster.nodes)),
-            "nodes_down_at_end": int(sum(1 for n in cluster.nodes if not n.alive)),
-            "batch": {
-                "resubmitted": int(scheduler.resubmitted),
-                "failed": int(scheduler.failed_jobs),
-                "launch_failures": int(scheduler.launch_failures),
-                "max_resubmits": int(max_resubmits),
-            },
-            "per_node": [
-                {
-                    "name": n.name,
-                    "alive": bool(n.alive),
-                    "failures": int(n.failures),
-                    "daemon": (
-                        n.holmes.health_report() if n.holmes is not None else None
-                    ),
-                }
-                for n in cluster.nodes
-            ],
-        }
-    if plane is not None:
-        # observed-only sections: with obs=None the payload above is
-        # byte-identical to an unobserved sweep.
-        if plane.metrics is not None:
-            from repro.obs import LATENCY_BUCKETS_US
-
-            for node, arr in zip(cluster.nodes, lat_arrays):
-                hist = plane.metrics.histogram(
-                    "lc_request_latency_us", LATENCY_BUCKETS_US,
-                    node=node.name,
-                )
-                hist.observe_many(arr)
-            plane.metrics.counter("jobs_completed").inc(len(finished))
-            plane.metrics.counter("relocations").inc(scheduler.relocations)
-        payload["node_health"] = [
-            _node_health(n) for n in cluster.nodes
+        loads = [
+            LCPhaseLoad(node, churn, duration_us, rng)
+            for node, rng in zip(cluster.nodes, node_rngs)
         ]
-        payload["obs"] = plane.snapshot()
-    return payload
+        for load in loads:
+            load.start()
+        arrivals = JobArrivalProcess(scheduler, churn, duration_us, arrival_rng)
+        scheduler.start()
+        arrivals.start()
+        if plan is not None:
+            start_cluster_drivers(cluster, plan)
+
+        cluster.run(until=duration_us)
+        scheduler.stop()
+        cluster.stop_daemons()
+
+        # -- LC latency ------------------------------------------------------
+        lat_arrays = [ld.recorder.latencies() for ld in loads]
+        all_lat = (
+            np.concatenate(lat_arrays)
+            if any(a.size for a in lat_arrays)
+            else np.empty(0)
+        )
+        hw_cfg = cluster.nodes[0].system.server.config
+        nominal_us = churn.lc_request_lines * hw_cfg.dram_line_latency_us
+        slo_us = slo_multiplier * nominal_us
+        per_node_p99 = [
+            float(np.percentile(a, 99)) for a in lat_arrays if a.size
+        ]
+
+        # -- batch outcomes --------------------------------------------------
+        finished = scheduler.finished_jobs()
+        durations = [
+            j.instance.finished_at - j.started_at
+            for j in finished
+            if j.started_at is not None
+        ]
+        queue_delays = [
+            j.queue_delay_us
+            for j in scheduler.jobs
+            if j.queue_delay_us is not None and j.queue_delay_us > 0.0
+        ]
+        final_scores = [scheduler.node_score(n) for n in cluster.nodes]
+
+        payload = {
+            "policy": policy,
+            "n_nodes": int(n_nodes),
+            "n_jobs": int(n_jobs),
+            "duration_us": float(duration_us),
+            "seed": int(seed),
+            "lc": {
+                "latency": latency_summary(all_lat),
+                "slo_us": float(slo_us),
+                "slo_violation_ratio": (
+                    float((all_lat > slo_us).mean()) if all_lat.size else None
+                ),
+                "per_node_p99_us": _summary(per_node_p99),
+            },
+            "batch": {
+                "submitted": len(scheduler.jobs),
+                "admitted": int(scheduler.admitted),
+                "enqueued": int(scheduler.enqueued),
+                "rejected": int(scheduler.rejected),
+                "still_queued": len(scheduler.queued_jobs()),
+                "completed": len(finished),
+                "jobs_per_s": len(finished) / (duration_us / 1e6),
+                "job_duration": _summary(durations),
+                "queue_delay": _summary(queue_delays),
+                "relocations": {
+                    "total": int(scheduler.relocations),
+                    "stall": int(scheduler.stall_relocations),
+                    "preemptive": int(scheduler.preemptive_relocations),
+                },
+            },
+            "nodes": {
+                "final_score_mean": float(np.mean(final_scores)),
+                "final_score_max": float(np.max(final_scores)),
+            },
+        }
+        if policy == "predictor":
+            # predictor-only section: other policies' payloads stay
+            # byte-identical to pre-profiling sweeps.
+            payload["predictor"] = {
+                "probe_seed": int(predict_probe_seed),
+                "admit_threshold": float(predict_admit_threshold),
+                "relocate_threshold": float(predict_relocate_threshold),
+                "relocate_margin": float(predict_relocate_margin),
+                "lc_weight": float(predict_lc_weight),
+                "model": predictor.model.to_dict(),
+                "families": sorted(predictor.profiles),
+            }
+        if plan is not None:
+            # chaos-only section: with faults=None the payload above is
+            # byte-identical to a plain sweep.
+            payload["faults"] = {
+                "plan": plan.to_dict(),
+                "node_failures": int(sum(n.failures for n in cluster.nodes)),
+                "nodes_down_at_end": int(sum(1 for n in cluster.nodes if not n.alive)),
+                "batch": {
+                    "resubmitted": int(scheduler.resubmitted),
+                    "failed": int(scheduler.failed_jobs),
+                    "launch_failures": int(scheduler.launch_failures),
+                    "max_resubmits": int(max_resubmits),
+                },
+                "per_node": [
+                    {
+                        "name": n.name,
+                        "alive": bool(n.alive),
+                        "failures": int(n.failures),
+                        "daemon": (
+                            n.holmes.health_report() if n.holmes is not None else None
+                        ),
+                    }
+                    for n in cluster.nodes
+                ],
+            }
+        if plane is not None:
+            # observed-only sections: with obs=None the payload above is
+            # byte-identical to an unobserved sweep.
+            if plane.metrics is not None:
+                from repro.obs import LATENCY_BUCKETS_US
+
+                for node, arr in zip(cluster.nodes, lat_arrays):
+                    hist = plane.metrics.histogram(
+                        "lc_request_latency_us", LATENCY_BUCKETS_US,
+                        node=node.name,
+                    )
+                    hist.observe_many(arr)
+                plane.metrics.counter("jobs_completed").inc(len(finished))
+                plane.metrics.counter("relocations").inc(scheduler.relocations)
+            payload["node_health"] = [
+                _node_health(n) for n in cluster.nodes
+            ]
+            payload["obs"] = plane.snapshot()
+        return payload
+    finally:
+        cluster.close()
 
 
 def _node_health(node) -> dict:

@@ -15,6 +15,7 @@ or bandwidth congestion -- is what degrades memory latency:
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,11 +50,12 @@ def run_fig2(duration_us: float = 60_000.0, seed: int = 42) -> list[Fig2Case]:
     cases = []
 
     def collect(label, m_lcpus, c_lcpus=()):
-        system = _system(seed)
-        results = run_m_threads(
-            system, m_lcpus=m_lcpus, c_lcpus=c_lcpus, duration_us=duration_us
-        )
-        lats = np.concatenate([r.recorder.latencies() for r in results])
+        with closing(_system(seed)) as system:
+            results = run_m_threads(
+                system, m_lcpus=m_lcpus, c_lcpus=c_lcpus,
+                duration_us=duration_us,
+            )
+            lats = np.concatenate([r.recorder.latencies() for r in results])
         cases.append(Fig2Case(label, lats))
 
     sib = lambda c: c + 16  # sibling mapping on the 16-core machine

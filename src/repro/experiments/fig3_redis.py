@@ -8,6 +8,7 @@ latency ~2.0x (p99 ~1.3x) over Co-separate.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,29 +50,30 @@ def run_fig3_case(
     if setting not in SETTINGS3:
         raise ValueError(f"setting must be one of {SETTINGS3}")
     scale = scale or ExperimentScale(duration_us=1_000_000.0)
-    system = build_system(scale)
-    topo = system.server.topology
-    lc = [0, 1, 2, 3]
+    with closing(build_system(scale)) as system:
+        topo = system.server.topology
+        lc = [0, 1, 2, 3]
 
-    service = make_service("redis", system, n_keys=DEFAULT_N_KEYS)
-    service.start(lcpus=set(lc))
+        service = make_service("redis", system, n_keys=DEFAULT_N_KEYS)
+        service.start(lcpus=set(lc))
 
-    if setting != "alone":
-        if setting == "co-separate":
-            batch_cpus = {4, 5, 6, 7}  # distinct physical cores
-        else:  # co-hyper: the siblings of Redis's logical CPUs
-            batch_cpus = {topo.sibling(c) for c in lc}
-        nm = NodeManager(system, default_cpuset=batch_cpus, seed=scale.seed)
-        nm.launch_job(KMEANS, tasks_per_container=len(batch_cpus))
+        if setting != "alone":
+            if setting == "co-separate":
+                batch_cpus = {4, 5, 6, 7}  # distinct physical cores
+            else:  # co-hyper: the siblings of Redis's logical CPUs
+                batch_cpus = {topo.sibling(c) for c in lc}
+            nm = NodeManager(system, default_cpuset=batch_cpus,
+                             seed=scale.seed)
+            nm.launch_job(KMEANS, tasks_per_container=len(batch_cpus))
 
-    rate = rate_qps or service_rate("redis", "workload-a")
-    client = YCSBClient(
-        system.env, service, workload_by_name("a"), rate,
-        np.random.default_rng(scale.seed + 17), traffic=ConstantTraffic(),
-    )
-    client.start(scale.duration_us)
-    system.run(until=scale.duration_us)
-    return Fig3Result(setting=setting, recorder=service.recorder)
+        rate = rate_qps or service_rate("redis", "workload-a")
+        client = YCSBClient(
+            system.env, service, workload_by_name("a"), rate,
+            np.random.default_rng(scale.seed + 17), traffic=ConstantTraffic(),
+        )
+        client.start(scale.duration_us)
+        system.run(until=scale.duration_us)
+        return Fig3Result(setting=setting, recorder=service.recorder)
 
 
 def run_fig3(scale: ExperimentScale | None = None) -> dict[str, Fig3Result]:

@@ -16,6 +16,7 @@ memory requests at a configurable rate.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,38 +92,39 @@ def run_hpe_selection(
     # (fresh machine and noise seed per point: sweep points are separate
     #  measurement runs in the paper's methodology)
     for i, rps in enumerate(np.arange(rps_step, 75_001.0, rps_step)):
-        system = System(config=HWConfig(sockets=1, cores_per_socket=8,
-                                        seed=seed + i))
-        prober = MemoryProber(system, lcpu=0, rps=float(rps))
-        one_thread.append(_measure(system, prober, 0, duration_us))
+        with closing(System(config=HWConfig(sockets=1, cores_per_socket=8,
+                                            seed=seed + i))) as system:
+            prober = MemoryProber(system, lcpu=0, rps=float(rps))
+            one_thread.append(_measure(system, prober, 0, duration_us))
 
     # -- two-thread sweep: max-rate thread vs swept sibling ----------------
     for i, rps in enumerate(np.arange(rps_step, 45_001.0, rps_step)):
-        system = System(config=HWConfig(sockets=1, cores_per_socket=8,
-                                        seed=seed + 100 + i))
-        sib = system.server.topology.sibling(0)
-        group = CounterGroup(
-            system.server, list(CANDIDATE_EVENTS) + [INSTR_LOAD, INSTR_STORE]
-        )
-        pmax = MemoryProber(system, lcpu=0, rps=MAX_RATE, name="max")
-        pvar = MemoryProber(system, lcpu=sib, rps=float(rps), name="var")
-        pmax.start(duration_us)
-        pvar.start(duration_us)
-        system.run(until=duration_us + 5_000.0)
-        deltas = group.sample()
-        for lcpu, prober, bucket in ((0, pmax, max_thread),
-                                     (sib, pvar, var_thread)):
-            row = deltas[lcpu]
-            ldst = row[-2] + row[-1]
-            bucket.append(SweepPoint(
-                rps_setting=float(rps),
-                achieved_rps=prober.achieved_rps(),
-                latency_us=prober.mean_latency(),
-                vpi={
-                    ev.code: (row[i] / ldst if ldst > 0 else 0.0)
-                    for i, ev in enumerate(CANDIDATE_EVENTS)
-                },
-            ))
+        with closing(System(config=HWConfig(sockets=1, cores_per_socket=8,
+                                            seed=seed + 100 + i))) as system:
+            sib = system.server.topology.sibling(0)
+            group = CounterGroup(
+                system.server,
+                list(CANDIDATE_EVENTS) + [INSTR_LOAD, INSTR_STORE],
+            )
+            pmax = MemoryProber(system, lcpu=0, rps=MAX_RATE, name="max")
+            pvar = MemoryProber(system, lcpu=sib, rps=float(rps), name="var")
+            pmax.start(duration_us)
+            pvar.start(duration_us)
+            system.run(until=duration_us + 5_000.0)
+            deltas = group.sample()
+            for lcpu, prober, bucket in ((0, pmax, max_thread),
+                                         (sib, pvar, var_thread)):
+                row = deltas[lcpu]
+                ldst = row[-2] + row[-1]
+                bucket.append(SweepPoint(
+                    rps_setting=float(rps),
+                    achieved_rps=prober.achieved_rps(),
+                    latency_us=prober.mean_latency(),
+                    vpi={
+                        ev.code: (row[i] / ldst if ldst > 0 else 0.0)
+                        for i, ev in enumerate(CANDIDATE_EVENTS)
+                    },
+                ))
 
     # -- Table 1 correlations over the contended (max-rate) series -----------
     latency = [p.latency_us for p in max_thread]

@@ -10,6 +10,7 @@ and VPI must grow together.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,30 +44,31 @@ class Fig5Point:
 
 def _run_level(service_name: str, sibling_rps: float | None,
                scale: ExperimentScale) -> tuple[float, float, float]:
-    system = build_system(scale)
-    topo = system.server.topology
-    lc = [0, 1, 2, 3]
-    service = make_service(service_name, system, n_keys=DEFAULT_N_KEYS)
-    service.start(lcpus=set(lc))
+    with closing(build_system(scale)) as system:
+        topo = system.server.topology
+        lc = [0, 1, 2, 3]
+        service = make_service(service_name, system, n_keys=DEFAULT_N_KEYS)
+        service.start(lcpus=set(lc))
 
-    if sibling_rps is not None:
-        per_thread = sibling_rps / len(lc)
-        for i, c in enumerate(lc):
-            prober = MemoryProber(
-                system, lcpu=topo.sibling(c), rps=per_thread, name=f"probe{i}"
-            )
-            prober.start(scale.duration_us)
+        if sibling_rps is not None:
+            per_thread = sibling_rps / len(lc)
+            for i, c in enumerate(lc):
+                prober = MemoryProber(
+                    system, lcpu=topo.sibling(c), rps=per_thread,
+                    name=f"probe{i}",
+                )
+                prober.start(scale.duration_us)
 
-    client = YCSBClient(
-        system.env, service, workload_by_name("a"),
-        service_rate(service_name, "workload-a"),
-        np.random.default_rng(scale.seed + 17), traffic=ConstantTraffic(),
-    )
-    reader = VPIReader(system.server)
-    client.start(scale.duration_us)
-    system.run(until=scale.duration_us)
-    vpi = float(np.sum(reader.sample()[lc]))
-    return service.recorder.mean(), service.recorder.p99(), vpi
+        client = YCSBClient(
+            system.env, service, workload_by_name("a"),
+            service_rate(service_name, "workload-a"),
+            np.random.default_rng(scale.seed + 17), traffic=ConstantTraffic(),
+        )
+        reader = VPIReader(system.server)
+        client.start(scale.duration_us)
+        system.run(until=scale.duration_us)
+        vpi = float(np.sum(reader.sample()[lc]))
+        return service.recorder.mean(), service.recorder.p99(), vpi
 
 
 def run_fig5(

@@ -13,6 +13,7 @@ Holmes 50-100 us.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Optional
 
@@ -67,77 +68,78 @@ def measure_convergence(
     """Run the step-stimulus experiment for one approach."""
     if approach not in APPROACHES:
         raise ValueError(f"approach must be one of {APPROACHES}")
-    system = System(config=HWConfig(sockets=1, cores_per_socket=8, seed=seed))
-    topo = system.server.topology
-    lc = [0, 1, 2, 3]
-    sibling = topo.sibling(0)
+    with closing(System(config=HWConfig(sockets=1, cores_per_socket=8,
+                                        seed=seed))) as system:
+        topo = system.server.topology
+        lc = [0, 1, 2, 3]
+        sibling = topo.sibling(0)
 
-    # horizon: long enough for the slowest controller to converge
-    if approach == "heracles":
-        horizon = onset_us + 3 * heracles_epoch_us
-    elif approach == "parties":
-        horizon = onset_us + 4 * parties_step_us
-    else:
-        horizon = onset_us + 100_000.0
+        # horizon: long enough for the slowest controller to converge
+        if approach == "heracles":
+            horizon = onset_us + 3 * heracles_epoch_us
+        elif approach == "parties":
+            horizon = onset_us + 4 * parties_step_us
+        else:
+            horizon = onset_us + 100_000.0
 
-    svc = system.spawn_process("lc")
-    svc.spawn_thread(lambda th: _lc_body(th, onset_us, horizon),
-                     affinity={0}, name="lc/worker")
+        svc = system.spawn_process("lc")
+        svc.spawn_thread(lambda th: _lc_body(th, onset_us, horizon),
+                         affinity={0}, name="lc/worker")
 
-    holmes: Optional[Holmes] = None
-    controller = None
-    if approach == "holmes":
-        # faster serving detection for the step stimulus (the defaults are
-        # tuned for bursty production traffic, not a step response)
-        cfg = HolmesConfig(n_reserved=4, usage_ema_tau_us=500.0,
-                           serving_on_usage=0.05, serving_off_usage=0.02)
-        holmes = Holmes(system, cfg)
-        holmes.register_lc_service(svc.pid)
-        holmes.start()
-    elif approach == "caladan":
-        controller = CaladanLike(system, lc_cpus=lc)
-        controller.start()
-    elif approach == "heracles":
-        controller = HeraclesLike(system, lc_cpus=lc,
-                                  epoch_us=heracles_epoch_us)
-        controller.start()
-    elif approach == "parties":
-        controller = PartiesLike(system, lc_cpus=lc, step_us=parties_step_us)
-        controller.start()
+        holmes: Optional[Holmes] = None
+        controller = None
+        if approach == "holmes":
+            # faster serving detection for the step stimulus (the defaults are
+            # tuned for bursty production traffic, not a step response)
+            cfg = HolmesConfig(n_reserved=4, usage_ema_tau_us=500.0,
+                               serving_on_usage=0.05, serving_off_usage=0.02)
+            holmes = Holmes(system, cfg)
+            holmes.register_lc_service(svc.pid)
+            holmes.start()
+        elif approach == "caladan":
+            controller = CaladanLike(system, lc_cpus=lc)
+            controller.start()
+        elif approach == "heracles":
+            controller = HeraclesLike(system, lc_cpus=lc,
+                                      epoch_us=heracles_epoch_us)
+            controller.start()
+        elif approach == "parties":
+            controller = PartiesLike(system, lc_cpus=lc, step_us=parties_step_us)
+            controller.start()
 
-    nm = NodeManager(system, seed=seed + 1)
-    if approach == "holmes":
-        # launched the paper's way: Holmes places it, and loans it the
-        # siblings while the service idles.  Enough tasks that the loaned
-        # sibling CPUs actually host work at onset.
-        job = nm.launch_job(MEM_HOG, tasks_per_container=12)
-    else:
-        # the baselines' batch pool includes the sibling from the start
-        job = nm.launch_job(MEM_HOG, tasks_per_container=1, cpuset={sibling})
+        nm = NodeManager(system, seed=seed + 1)
+        if approach == "holmes":
+            # launched the paper's way: Holmes places it, and loans it the
+            # siblings while the service idles.  Enough tasks that the loaned
+            # sibling CPUs actually host work at onset.
+            job = nm.launch_job(MEM_HOG, tasks_per_container=12)
+        else:
+            # the baselines' batch pool includes the sibling from the start
+            job = nm.launch_job(MEM_HOG, tasks_per_container=1, cpuset={sibling})
 
-    occupied = []
+        occupied = []
 
-    def checker(env):
-        yield env.timeout(onset_us - 5.0)
-        occupied.append(system.lcpu_queue_depth(sibling) > 0)
+        def checker(env):
+            yield env.timeout(onset_us - 5.0)
+            occupied.append(system.lcpu_queue_depth(sibling) > 0)
 
-    system.env.process(checker(system.env))
-    system.run(until=horizon)
+        system.env.process(checker(system.env))
+        system.run(until=horizon)
 
-    if approach == "holmes":
-        dealloc = [
-            e for e in holmes.scheduler.events
-            if e.action == "dealloc_sibling" and e.time >= onset_us
-        ]
-        converged = dealloc[0].time if dealloc else None
-    else:
-        converged = controller.converged_at
-    return ConvergenceResult(
-        approach=approach,
-        onset_us=onset_us,
-        converged_us=converged,
-        sibling_occupied_at_onset=bool(occupied and occupied[0]),
-    )
+        if approach == "holmes":
+            dealloc = [
+                e for e in holmes.scheduler.events
+                if e.action == "dealloc_sibling" and e.time >= onset_us
+            ]
+            converged = dealloc[0].time if dealloc else None
+        else:
+            converged = controller.converged_at
+        return ConvergenceResult(
+            approach=approach,
+            onset_us=onset_us,
+            converged_us=converged,
+            sibling_occupied_at_onset=bool(occupied and occupied[0]),
+        )
 
 
 def run_table4(

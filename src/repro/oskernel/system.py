@@ -125,6 +125,32 @@ class System:
     def run(self, until: Optional[float] = None) -> None:
         self.env.run(until=until)
 
+    def close(self) -> None:
+        """Tear down a finished machine so reference counting frees it.
+
+        Closes the environment first: every live thread's generator runs
+        its ``finally`` blocks now, in creation order (``exec`` marks its
+        CPU idle and releases it; the thread exits, leaving its cgroup).
+        Then drops each link from a part back to its owner, which made
+        the machine one reference cycle: thread to system and process
+        (and its quantum callback and body, bound methods of the thread
+        or of a service owning it), process to system, cgroup to parent
+        and filesystem, filesystem to system, and each CPU's and the
+        disk's held and queued requests.  Call it once the run's result
+        has been read; idempotent.
+        """
+        self.env.close()
+        for t in self.threads.values():
+            t.system = t.process = t._continuation = t._body = None
+        for p in self.processes.values():
+            p.system = None
+        for group in self.cgroups.root.walk():
+            group.parent = group.fs = None
+        self.cgroups.system = None
+        for res in (*self.cpu_slots, self.server.disk.channels):
+            res._users.clear()
+            res._queue.clear()
+
     @property
     def now(self) -> float:
         return self.env.now

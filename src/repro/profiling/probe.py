@@ -26,6 +26,7 @@ the label the model fits.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 
 from repro.hw import HWConfig
@@ -216,29 +217,29 @@ def _run_target(
     duty: float = 1.0,
 ) -> float:
     """Mean per-iteration latency of ``target``, optionally contended."""
-    system = _probe_system(seed)
-    until = _horizon_us(target, iterations)
-    samples: list = []
-    proc = system.spawn_process(f"probe-{target.name}")
-    proc.spawn_thread(
-        lambda th: target.body(th, samples, until),
-        affinity={0},
-        name="target",
-    )
-    if antagonist is not None:
-        sib = system.server.topology.sibling(0)
+    with closing(_probe_system(seed)) as system:
+        until = _horizon_us(target, iterations)
+        samples: list = []
+        proc = system.spawn_process(f"probe-{target.name}")
         proc.spawn_thread(
-            lambda th: _antagonist_body(th, antagonist, duty, until),
-            affinity={sib},
-            name="antagonist",
+            lambda th: target.body(th, samples, until),
+            affinity={0},
+            name="target",
         )
-    system.run(until=until + 10.0)
-    if not samples:
-        raise RuntimeError(
-            f"probe horizon too short for target {target.name!r}: "
-            f"no iteration completed in {until} us"
-        )
-    return _mean(samples)
+        if antagonist is not None:
+            sib = system.server.topology.sibling(0)
+            proc.spawn_thread(
+                lambda th: _antagonist_body(th, antagonist, duty, until),
+                affinity={sib},
+                name="antagonist",
+            )
+        system.run(until=until + 10.0)
+        if not samples:
+            raise RuntimeError(
+                f"probe horizon too short for target {target.name!r}: "
+                f"no iteration completed in {until} us"
+            )
+        return _mean(samples)
 
 
 def _excess(contended_us: float, solo_us: float) -> float:
@@ -318,29 +319,29 @@ def victim_calibration(seed: int = 42,
 def _run_victim(victim: ProbeTarget, aggressor: ProbeTarget, seed: int,
                 iterations: int) -> float:
     """Victim on lcpu 0, the aggressor's full kernel looping on the sibling."""
-    system = _probe_system(seed)
-    until = max(_horizon_us(victim, iterations),
-                _horizon_us(aggressor, 2))
-    samples: list = []
-    proc = system.spawn_process(f"victim-{victim.name}")
-    proc.spawn_thread(
-        lambda th: victim.body(th, samples, until),
-        affinity={0},
-        name="victim",
-    )
-    sib = system.server.topology.sibling(0)
-    noise: list = []
-    proc.spawn_thread(
-        lambda th: aggressor.body(th, noise, until),
-        affinity={sib},
-        name="aggressor",
-    )
-    system.run(until=until + 10.0)
-    if not samples:
-        raise RuntimeError(
-            f"victim horizon too short against {aggressor.name!r}"
+    with closing(_probe_system(seed)) as system:
+        until = max(_horizon_us(victim, iterations),
+                    _horizon_us(aggressor, 2))
+        samples: list = []
+        proc = system.spawn_process(f"victim-{victim.name}")
+        proc.spawn_thread(
+            lambda th: victim.body(th, samples, until),
+            affinity={0},
+            name="victim",
         )
-    return _mean(samples)
+        sib = system.server.topology.sibling(0)
+        noise: list = []
+        proc.spawn_thread(
+            lambda th: aggressor.body(th, noise, until),
+            affinity={sib},
+            name="aggressor",
+        )
+        system.run(until=until + 10.0)
+        if not samples:
+            raise RuntimeError(
+                f"victim horizon too short against {aggressor.name!r}"
+            )
+        return _mean(samples)
 
 
 def measure_pair(
@@ -354,19 +355,19 @@ def measure_pair(
     """Ground-truth excess slowdown of co-running ``a`` and ``b`` on the
     two hyperthreads of one core: mean of both sides' excess over their
     solo baselines."""
-    system = _probe_system(seed)
-    until = max(_horizon_us(a, iterations), _horizon_us(b, iterations))
-    sa: list = []
-    sb: list = []
-    proc = system.spawn_process(f"pair-{a.name}-{b.name}")
-    proc.spawn_thread(
-        lambda th: a.body(th, sa, until), affinity={0}, name="a"
-    )
-    sib = system.server.topology.sibling(0)
-    proc.spawn_thread(
-        lambda th: b.body(th, sb, until), affinity={sib}, name="b"
-    )
-    system.run(until=until + 10.0)
-    if not sa or not sb:
-        raise RuntimeError(f"pair horizon too short for {a.name}/{b.name}")
-    return (_excess(_mean(sa), solo_a) + _excess(_mean(sb), solo_b)) / 2.0
+    with closing(_probe_system(seed)) as system:
+        until = max(_horizon_us(a, iterations), _horizon_us(b, iterations))
+        sa: list = []
+        sb: list = []
+        proc = system.spawn_process(f"pair-{a.name}-{b.name}")
+        proc.spawn_thread(
+            lambda th: a.body(th, sa, until), affinity={0}, name="a"
+        )
+        sib = system.server.topology.sibling(0)
+        proc.spawn_thread(
+            lambda th: b.body(th, sb, until), affinity={sib}, name="b"
+        )
+        system.run(until=until + 10.0)
+        if not sa or not sb:
+            raise RuntimeError(f"pair horizon too short for {a.name}/{b.name}")
+        return (_excess(_mean(sa), solo_a) + _excess(_mean(sb), solo_b)) / 2.0

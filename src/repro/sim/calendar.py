@@ -24,6 +24,8 @@ Two interchangeable kernels, both firing events in exactly the same
 Both kernels support *lazy cancellation*: ``env.cancel(event)`` blanks
 the entry ([t, prio, seq, event] -> event slot None) where it sits, and
 the dispatch loop skips blanked entries when it reaches them.
+``env.close()`` blanks every pending entry the same way, also dropping
+each event's callbacks, and empties the calendar.
 
 Bucket membership is computed **only** from ``int(t / bucket_us)`` --
 push side, overflow pull side, and cursor jumps all use the same
@@ -52,6 +54,17 @@ DEFAULT_BUCKET_US = 50.0
 DEFAULT_WHEEL_SLOTS = 1024
 
 
+def _blank(entries) -> None:
+    """Unlink each pending entry from its event and drop its callbacks."""
+    for entry in entries:
+        if entry is not None:
+            event = entry[3]
+            if event is not None:
+                entry[3] = None
+                event._entry = None
+                event.callbacks = None
+
+
 class HeapEnvironment(Environment):
     """Reference kernel: a binary heap of [time, priority, seq, event]."""
 
@@ -68,6 +81,10 @@ class HeapEnvironment(Environment):
         entry = [self._now + delay, priority, seq, event]
         event._entry = entry
         _heappush(self._heap, entry)
+
+    def _drop_calendar(self) -> None:
+        _blank(self._heap)
+        self._heap.clear()
 
     def peek(self) -> float:
         heap = self._heap
@@ -246,6 +263,21 @@ class WheelEnvironment(Environment):
 
     def _note_cancel(self, entry: list) -> None:
         self._n -= 1
+
+    def _drop_calendar(self) -> None:
+        # slots of the drain list behind the cursor are already None
+        _blank(self._cur)
+        _blank(self._overflow)
+        self._cur.clear()
+        self._pos = 0
+        self._overflow.clear()
+        if self._nwheel:
+            for lst in self._buckets:
+                if lst:
+                    _blank(lst)
+                    lst.clear()
+        self._n = 0
+        self._nwheel = 0
 
     # -- cursor movement --------------------------------------------------
 

@@ -28,6 +28,14 @@ subclass.
 Processes are plain Python generators.  A process yields :class:`Event`
 objects; when the yielded event fires, the event's value is sent back into
 the generator (or, for a failed event, the exception is thrown into it).
+
+A finished simulation is freed by reference counting, not by the cyclic
+collector, once its owner calls :meth:`Environment.close`: that closes
+every live generator in creation order (each ``finally`` runs once,
+there) and then blanks every pending calendar entry.  A process that
+ends drops the bound method it holds of itself, and a granted resource
+request holds no reference to itself (its value is None).  A simulation
+nobody closes is still freed, by the collector.
 """
 
 from __future__ import annotations
@@ -261,6 +269,7 @@ class Process(Event):
         self._send = gen.send
         self._throw = gen.throw
         self._on_fire = self._resume
+        env._procs[self] = None
         Initialize(env, self)
 
     @property
@@ -276,6 +285,16 @@ class Process(Event):
                 f"cannot interrupt process {self.name} before it starts"
             )
         _InterruptEvent(self.env, self, cause)
+
+    def _finish(self) -> None:
+        """The generator ended: leave the live set and fire as an event.
+
+        Dropping ``_on_fire``, a bound method of this process, leaves a
+        finished process no reference to itself.
+        """
+        del self.env._procs[self]
+        self._on_fire = None
+        self.env._schedule(self, URGENT)
 
     # -- resumption machinery -------------------------------------------
 
@@ -310,13 +329,13 @@ class Process(Event):
             env._active_process = None
             self._ok = True
             self._value = exc.value
-            env._schedule(self, URGENT)
+            self._finish()
             return
         except BaseException as exc:
             env._active_process = None
             self._ok = False
             self._value = exc
-            env._schedule(self, URGENT)
+            self._finish()
             return
         env._active_process = None
 
@@ -446,6 +465,9 @@ class Environment:
         self._now = float(initial_time)
         self._seq = 0
         self._active_process: Optional[Process] = None
+        #: live processes in creation order (a dict used as an ordered
+        #: set): the order close() finalizes them in.
+        self._procs: dict[Process, None] = {}
 
     @property
     def now(self) -> float:
@@ -517,6 +539,30 @@ class Environment:
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the calendar drains or the clock reaches ``until``."""
+        raise NotImplementedError
+
+    # -- teardown ---------------------------------------------------------
+
+    def close(self) -> None:
+        """Tear down a finished simulation so reference counting frees it.
+
+        First closes every live process's generator, in creation order:
+        each ``finally`` runs once, here, rather than whenever the cyclic
+        collector finalizes the generator.  A closed process keeps no
+        target, callbacks or bound method of itself.  Then blanks every
+        pending calendar entry (its link to its event and the event's
+        callbacks); this comes last because ``finally`` blocks may
+        schedule events.  Idempotent.  The environment must not be run
+        again afterwards.
+        """
+        procs, self._procs = self._procs, {}
+        for proc in procs:
+            proc._target = proc._on_fire = proc.callbacks = None
+            proc.gen.close()
+        self._drop_calendar()
+
+    def _drop_calendar(self) -> None:
+        """Kernel hook: blank and drop every pending calendar entry."""
         raise NotImplementedError
 
     # shared by both kernels' run() implementations

@@ -69,9 +69,9 @@ class Resource:
         """Hold a free slot at once, with no calendar entry; None if busy.
 
         The result is a request in the state :meth:`request`'s would reach
-        once its grant fired.  Only exact for a caller that knows that
-        grant would be the very next event dispatched (see
-        :meth:`~repro.oskernel.SimThread.exec`).
+        once its grant fired: processed, with the value None.  Only exact
+        for a caller that knows that grant would be the very next event
+        dispatched (see :meth:`~repro.oskernel.SimThread.exec`).
         """
         if self._queue or len(self._users) >= self.capacity:
             return None
@@ -79,7 +79,7 @@ class Resource:
         Event.__init__(req, self.env)
         req.resource = self
         req.tag = tag
-        req._value = req
+        req._value = None
         req.callbacks = None
         req._processed = True
         self._users.append(req)
@@ -112,7 +112,10 @@ class Resource:
             pass
 
     def _grant_next(self) -> None:
+        # A grant fires with the value None, not the request: a request
+        # holding itself as its value would be a reference cycle that
+        # only the cyclic collector frees.  acquire() returns the request.
         while self._queue and len(self._users) < self.capacity:
             req = self._queue.popleft()
             self._users.append(req)
-            req.succeed(req)
+            req.succeed()

@@ -15,6 +15,8 @@ class ContinuousSubmitter:
     When a job finishes, the next spec from the round-robin mix is
     launched immediately, mimicking a saturated batch queue.  Call
     :meth:`start` once; call :meth:`stop` to stop replacing finished jobs.
+    Stopping also unhooks the submitter from the NodeManager, whose
+    ``on_job_finished`` list otherwise holds it in a reference cycle.
     """
 
     def __init__(
@@ -51,7 +53,9 @@ class ContinuousSubmitter:
             self._submit_next()
 
     def stop(self) -> None:
-        self._running = False
+        if self._running:
+            self._running = False
+            self.nm.on_job_finished.remove(self._job_finished)
 
     def _next_spec(self) -> BatchJobSpec:
         spec = self.mix[self._mix_cursor % len(self.mix)]

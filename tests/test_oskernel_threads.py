@@ -1,9 +1,13 @@
 """Unit/integration tests for the OS layer: threads, affinity, scheduling."""
 
+import gc
+from contextlib import closing
+
 import pytest
 
 from repro.hw import CompOp, HWConfig, MemOp
 from repro.oskernel import System, ThreadState
+from repro.sim import Environment
 
 
 @pytest.fixture
@@ -291,3 +295,98 @@ def test_deterministic_scheduling():
         return finish
 
     assert run_once() == run_once()
+
+
+# -- teardown: System.close() ----------------------------------------------------
+
+
+@pytest.mark.parametrize("calendar", ["heap", "wheel"])
+def test_close_finalizes_threads_once_in_creation_order(calendar):
+    system = System(env=Environment(calendar=calendar), config=HWConfig())
+    log = []
+
+    def body(thread):
+        try:
+            while True:
+                yield from thread.exec(CompOp(cycles=2_400_000))
+        finally:
+            log.append(thread.name)
+
+    proc = system.spawn_process("p", cgroup_path="/batch/c1")
+    for name, lcpu in (("t2", 2), ("t0", 0), ("t1", 0)):  # t1 queues on 0
+        proc.spawn_thread(body, affinity={lcpu}, name=name)
+    system.run(until=100.0)
+    assert log == [] and proc.alive
+    group = system.cgroups.get("/batch/c1")
+    system.close()
+    assert log == ["t2", "t0", "t1"]
+    assert proc.exited_at == 100.0 and not proc.alive
+    assert group.processes == []
+    assert system.env.peek() == float("inf")
+    system.close()
+    assert log == ["t2", "t0", "t1"]
+
+
+@pytest.mark.parametrize("calendar", ["heap", "wheel"])
+def test_closed_system_is_freed_by_reference_counting(calendar):
+    class Service:
+        """Owns its threads, and each thread's body is its bound method."""
+
+        def __init__(self, system):
+            self.proc = system.spawn_process("svc", cgroup_path="/svc")
+            self.threads = [
+                self.proc.spawn_thread(self.body, affinity={i})
+                for i in range(3)
+            ]
+
+        def body(self, thread):
+            while True:
+                yield from thread.exec(MemOp(lines=500, dram_frac=0.5))
+                yield from thread.disk_io(4096)
+                yield from thread.sleep(13.0)
+
+    def spin(thread):
+        while True:
+            yield from thread.exec(CompOp(cycles=2_400_000))
+
+    gc.collect()
+    gc.disable()
+    try:
+        system = System(env=Environment(calendar=calendar), config=HWConfig())
+        svc = Service(system)
+        batch = system.spawn_process("batch", cgroup_path="/batch/c1")
+        for _ in range(3):  # one holds lcpu 5, two wait in its queue
+            batch.spawn_thread(spin, affinity={5})
+        system.run(until=500.0)
+        assert all(t.alive for t in svc.threads)
+        assert system.cpu_slots[5].queue_length == 2
+        system.close()
+        del system, svc, batch
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_run_that_raises_still_closes_and_propagates_its_own_error():
+    system = System(config=HWConfig())
+    log = []
+
+    def crasher(thread):
+        yield from thread.exec(CompOp(cycles=240_000))
+        raise ValueError("boom")
+
+    def spinner(thread):
+        try:
+            while True:
+                yield from thread.exec(CompOp(cycles=240_000))
+        finally:
+            log.append("spinner")
+
+    proc = system.spawn_process("p")
+    proc.spawn_thread(crasher, affinity={0})
+    proc.spawn_thread(spinner, affinity={1})
+    with pytest.raises(ValueError, match="boom"):
+        with closing(system):
+            system.run()
+    assert log == ["spinner"]
+    assert system.env.peek() == float("inf")

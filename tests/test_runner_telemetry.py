@@ -29,6 +29,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.obs import format_span_timeline
 from repro.obs.runner import (
     RunnerTelemetry,
     SweepProgress,
@@ -292,6 +293,9 @@ def test_journal_without_telemetry_gets_synthetic_timeline(tmp_path):
     snap = timeline_from_journal(SweepJournal.load(path))
     assert snap["spans"], "audit records alone must still yield a timeline"
     assert all(s["lane"] == "journal" for s in snap["spans"])
+    # the rendered lane column is the bare lane name
+    rows = format_span_timeline(snap).splitlines()
+    assert [row.split()[2] for row in rows] == ["journal"] * len(rows)
     assert validate_runner_trace(runner_chrome_trace(snap)) == []
 
 

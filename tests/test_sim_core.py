@@ -1,9 +1,12 @@
 """Unit tests for the discrete-event kernel (repro.sim.core)."""
 
+import gc
+
 import pytest
 
-from repro.sim import Environment, Interrupt, SimulationError
+from repro.sim import Environment, Interrupt, Resource, SimulationError
 from repro.sim.core import NORMAL, URGENT
+from repro.sim.resources import Request
 
 
 def test_clock_starts_at_zero():
@@ -333,3 +336,121 @@ def test_deterministic_many_processes():
         return order
 
     assert run_once() == run_once()
+
+
+# -- teardown: Environment.close() ---------------------------------------------
+
+KERNELS = ("heap", "wheel")
+
+
+@pytest.mark.parametrize("calendar", KERNELS)
+def test_close_runs_live_finally_blocks_once_in_creation_order(calendar):
+    env = Environment(calendar=calendar)
+    log = []
+
+    def proc(env, label, delay):
+        try:
+            while True:
+                yield env.timeout(delay)
+        finally:
+            log.append(label)
+
+    def short(env):
+        try:
+            yield env.timeout(1.0)
+        finally:
+            log.append("short")
+
+    # creation order is not label order
+    for label, delay in (("c", 7.0), ("a", 3.0), ("b", 5.0)):
+        env.process(proc(env, label, delay))
+    env.process(short(env))
+    env.run(until=20.0)
+    assert log == ["short"]
+    env.close()
+    assert log == ["short", "c", "a", "b"]
+    env.close()
+    assert log == ["short", "c", "a", "b"]
+
+
+@pytest.mark.parametrize("calendar", KERNELS)
+def test_close_empties_the_calendar_and_is_idempotent(calendar):
+    env = Environment(calendar=calendar)
+    # drain list, ring bucket and overflow heap on the wheel
+    pending = [env.timeout(d) for d in (0.0, 10.0, 75.0, 1e9)]
+
+    def wait(env, event):
+        yield event
+
+    waiter = env.process(wait(env, env.event()))  # waits forever
+    env.run(until=1.0)
+    assert env.peek() < float("inf")
+    env.close()
+    assert env.peek() == float("inf")
+    for ev in pending[1:]:
+        assert ev._entry is None
+        assert ev.callbacks is None
+    assert waiter.callbacks is None
+    env.close()
+    assert env.peek() == float("inf")
+
+
+@pytest.mark.parametrize("calendar", KERNELS)
+def test_finally_may_schedule_during_close(calendar):
+    env = Environment(calendar=calendar)
+
+    def proc(env):
+        try:
+            yield env.timeout(100.0)
+        finally:
+            env.timeout(1.0)  # scheduled after the generators close
+
+    env.process(proc(env))
+    env.run(until=10.0)
+    env.close()
+    assert env.peek() == float("inf")
+
+
+@pytest.mark.parametrize("calendar", KERNELS)
+def test_finished_process_holds_no_reference_to_itself(calendar):
+    gc.collect()
+    gc.disable()
+    try:
+        env = Environment(calendar=calendar)
+
+        def proc(env):
+            yield env.timeout(1.0)
+            return 7
+
+        p = env.process(proc(env))
+        env.run()
+        assert p.value == 7
+        assert p._on_fire is None
+        assert p not in gc.get_referents(*gc.get_referents(p))
+        del env, p
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_granted_request_value_is_none_and_acquire_returns_it():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    got = []
+
+    def holder(env):
+        req = yield from res.acquire("h")
+        got.append(req)
+        yield env.timeout(5.0)
+        res.release(req)
+
+    env.process(holder(env))
+    env.process(holder(env))
+    env.run()
+    assert len(got) == 2
+    for req in got:
+        assert isinstance(req, Request)
+        assert req.processed and req.value is None
+    seized = res.seize("s")
+    assert seized is not None and seized.value is None
+    assert seized in res._users
