@@ -4,7 +4,9 @@ Each benchmark regenerates one paper table/figure and prints the rows the
 paper reports (captured output is shown with ``pytest -s``; every bench
 also appends to ``benchmarks/results/`` so the numbers survive capture).
 
-Set ``REPRO_BENCH_FAST=1`` to run everything at reduced horizons.
+Set ``REPRO_BENCH_FAST=1`` to run everything at reduced horizons; those
+tables and timings go to the git-ignored ``benchmarks/results/fast/``,
+so a fast run never overwrites the committed full-horizon tables.
 """
 
 from __future__ import annotations
@@ -25,9 +27,11 @@ FAST = os.environ.get("REPRO_BENCH_FAST", "") not in ("", "0")
 COLO_DURATION_US = 400_000.0 if FAST else 1_200_000.0
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+if FAST:
+    RESULTS_DIR = RESULTS_DIR / "fast"
 
 #: per-test wall-clock, filled by the autouse timer below and flushed to
-#: ``benchmarks/results/bench_timings.json`` at session end.
+#: ``bench_timings.json`` under :data:`RESULTS_DIR` at session end.
 _TIMINGS: dict[str, float] = {}
 
 
@@ -49,7 +53,7 @@ def _flush_bench_timings():
     yield
     if not _TIMINGS:
         return
-    RESULTS_DIR.mkdir(exist_ok=True)
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     record = {
         "clock": "time.perf_counter",
         "fast_mode": FAST,
@@ -95,9 +99,9 @@ def colo() -> ColocationCache:
 
 
 def report(name: str, text: str) -> None:
-    """Print a result block and persist it under benchmarks/results/."""
+    """Print a result block and persist it under :data:`RESULTS_DIR`."""
     print()
     print(f"=== {name} ===")
     print(text)
-    RESULTS_DIR.mkdir(exist_ok=True)
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")

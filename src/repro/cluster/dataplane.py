@@ -25,10 +25,10 @@ One :class:`ClusterDataPlane` owns three cluster-wide pools:
 
 Windowed reads go through two *hubs*.  On the first read at a given
 ``(time, generation)`` key the hub takes one batched snapshot of the
-pool and computes the windowed products (usage fractions, VPI, per-core
-aggregates) for every row at once; each node's read then consumes its
-own row and commits its own baseline.  ``generation`` is bumped by the
-hardware layer on every quantum accrual, so a workload event that lands
+pool and computes the windowed products (usage fractions, VPI) for
+every row at once; each node's read then consumes its own row and
+commits its own baseline.  ``generation`` is bumped by the hardware
+layer on every quantum accrual, so a workload event that lands
 *between* two same-instant daemon ticks invalidates the batch and the
 later daemon sees the fresh values -- exactly what its scalar read would
 have seen.
@@ -52,6 +52,8 @@ import weakref
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
+
+from repro.core.vpi import masked_vpi
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import ServerNode
@@ -125,7 +127,7 @@ class _UsageHub:
         if dt > 0.0:
             usage = self._cur - self._last
             usage /= dt
-            np.clip(usage, 0.0, 1.0, out=usage)
+            usage.clip(0.0, 1.0, out=usage)
             self._batch = usage
         else:
             self._batch = None
@@ -139,7 +141,7 @@ class _UsageHub:
             return np.zeros(self._last.shape[1], dtype=np.float64)
         usage = self._cur[node] - self._last[node]
         usage /= dt
-        np.clip(usage, 0.0, 1.0, out=usage)
+        usage.clip(0.0, 1.0, out=usage)
         return usage
 
     def sample(self, node: int, now: float) -> np.ndarray:
@@ -173,18 +175,11 @@ class _VPIHub:
         cols: tuple[int, ...],
         scale: float,
         min_instructions: float,
-        n_cores: int,
     ):
         self.plane = weakref.proxy(plane)  # weak, as in _UsageHub
         self.cols = cols
         self.scale = scale
         self.min_instructions = min_instructions
-        self.n_cores = n_cores
-        #: per-node: whether the batch should serve this row's per-core
-        #: aggregate.  A cps-mode or fault-corrupted monitor aggregates
-        #: its own, possibly rewritten, per-lcpu view instead -- but it
-        #: opts out *alone*; its neighbours keep the batched aggregate.
-        self._want_core = np.ones(plane.counters.shape[0], dtype=bool)
         self._cols_arr = np.array(cols, dtype=np.intp)
         n_nodes = plane.counters.shape[0]
         n_lcpus = plane.counters.shape[1]
@@ -194,11 +189,9 @@ class _VPIHub:
         self._vpi: Optional[np.ndarray] = None
         self._ldst: Optional[np.ndarray] = None
         self._counter: Optional[np.ndarray] = None
-        self._core: Optional[np.ndarray] = None
 
-    def register(self, node: int, want_core: bool) -> None:
+    def register(self, node: int) -> None:
         self._last[node] = self.plane.counters[node][:, self._cols_arr]
-        self._want_core[node] = want_core
 
     def _refresh(self, now: float) -> None:
         key = (now, self.plane.generation)
@@ -210,29 +203,14 @@ class _VPIHub:
         counter = np.maximum(deltas[:, :, 0], 0.0)
         ldst = deltas[:, :, 1] + deltas[:, :, 2]
         np.maximum(ldst, 0.0, out=ldst)
-        vpi = np.zeros_like(counter)
-        mask = ldst >= self.min_instructions
-        vpi[mask] = counter[mask] / ldst[mask] * self.scale
+        vpi = masked_vpi(counter, ldst, self.min_instructions, self.scale)
         self._vpi, self._ldst, self._counter = vpi, ldst, counter
-        if self._want_core.any():
-            # computed for every row in one pass (cheaper than slicing
-            # out the opted-in rows); opted-out rows just never consume
-            # their row, so their own scalar fallback stays authoritative.
-            nc = self.n_cores
-            v0, v1 = vpi[:, :nc], vpi[:, nc:]
-            w0, w1 = ldst[:, :nc], ldst[:, nc:]
-            total = w0 + w1
-            core = np.zeros_like(total)
-            cmask = total > 0
-            core[cmask] = (v0 * w0 + v1 * w1)[cmask] / total[cmask]
-            self._core = core
 
     def consume(self, node: int, now: float):
-        """(vpi, ldst, counter, core_vpi | None) for one node's window."""
+        """(vpi, ldst, counter) for one node's window."""
         self._refresh(now)
         self._last[node] = self._cur[node]
-        core = self._core[node] if self._want_core[node] else None
-        return self._vpi[node], self._ldst[node], self._counter[node], core
+        return self._vpi[node], self._ldst[node], self._counter[node]
 
     def rebaseline(self, node: int) -> None:
         """Discard the node's open window (daemon restart)."""
@@ -272,7 +250,6 @@ class ClusterDataPlane:
         cols: tuple[int, ...],
         scale: float,
         min_instructions: float,
-        n_cores: int,
     ) -> Optional[_VPIHub]:
         """The shared VPI hub, or None if ``cols``/params don't match it.
 
@@ -283,14 +260,13 @@ class ClusterDataPlane:
         """
         hub = self._vpi_hub
         if hub is None:
-            hub = _VPIHub(self, cols, scale, min_instructions, n_cores)
+            hub = _VPIHub(self, cols, scale, min_instructions)
             self._vpi_hub = hub
             return hub
         if (
             hub.cols == cols
             and hub.scale == scale
             and hub.min_instructions == min_instructions
-            and hub.n_cores == n_cores
         ):
             return hub
         return None

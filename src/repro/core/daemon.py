@@ -9,7 +9,7 @@ import numpy as np
 
 from repro.core.config import HolmesConfig
 from repro.core.monitor import DeadServiceError, MetricMonitor
-from repro.core.scheduler import HolmesScheduler
+from repro.core.scheduler import HolmesScheduler, mean
 from repro.sim import Series
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -345,8 +345,8 @@ class Holmes:
                 self.active_ticks += 1
             if self.ticks % self._record_every == 0:
                 lc = self.scheduler.lc_cpus
-                lc_vpi = float(np.mean(sample.vpi[lc]))
-                lc_usage = float(np.mean(sample.usage_ema[lc]))
+                lc_vpi = mean(sample.vpi[lc])
+                lc_usage = mean(sample.usage_ema[lc])
                 self.vpi_history.record(sample.time, lc_vpi)
                 self.usage_history.record(sample.time, lc_usage)
                 if self._vpi_hist is not None:

@@ -3,8 +3,8 @@
 Collects, once per invocation interval:
 
 * per-logical-CPU usage over the window and an EMA-smoothed view,
-* per-logical-CPU VPI of the selected event (0x14A3) and per-core
-  aggregates,
+* per-logical-CPU VPI of the selected event (0x14A3), with the
+  load+store counts that weight its per-core aggregates,
 * latency-critical process status (CPU time rate -> "serving traffic?"),
 * batch containers, discovered by scanning the batch cgroup directory
   (new directories = launched containers, vanished = exited).
@@ -70,13 +70,19 @@ class MonitorSample:
     usage: np.ndarray  # per-lcpu busy fraction, this window
     usage_ema: np.ndarray  # per-lcpu smoothed usage
     vpi: np.ndarray  # per-lcpu VPI (scaled)
-    core_vpi: np.ndarray  # per-core aggregated VPI
+    ldst: np.ndarray  # per-lcpu retired loads+stores, the VPI weights
     new_containers: list[ContainerInfo]
     gone_containers: list[ContainerInfo]
     lc_statuses: list[LCStatus]
     #: VPI signal health: "healthy", "stale" (holding last-good values)
     #: or "degraded" (signal lost for >= K windows; fail safe).
     health: str = "healthy"
+
+    @property
+    def core_vpi(self) -> np.ndarray:
+        """Per-core aggregated VPI, computed when read: no algorithm
+        reads it on the 50 us tick."""
+        return aggregate_per_core(self.vpi, self.ldst, len(self.vpi) // 2)
 
 
 class MetricMonitor:
@@ -100,15 +106,7 @@ class MetricMonitor:
         self.metric_event = by_code(config.metric_event_code)
         # ``plane`` (a repro.cluster.dataplane.ClusterDataPlane) switches
         # the windowed reads to the cluster-wide batched hubs and backs
-        # the EMAs with the pool's row views.  The per-core aggregate is
-        # only precomputable in the batch when this monitor would
-        # aggregate the raw VPI unchanged (vpi mode, no counter faults
-        # that could rewrite the per-lcpu view first).
-        want_core = (
-            plane is not None
-            and config.metric_mode != "cps"
-            and (faults is None or not faults.has_counter_faults)
-        )
+        # the EMAs with the pool's row views.
         self.vpi_reader = VPIReader(
             server,
             event=self.metric_event,
@@ -116,7 +114,6 @@ class MetricMonitor:
             min_instructions=config.min_instructions,
             plane=plane,
             node_index=node_index,
-            want_core=want_core,
         )
         self.usage_tracker = UsageTracker(
             self.env, server,
@@ -143,7 +140,7 @@ class MetricMonitor:
         self.health = "healthy"
         self._stale_windows = 0
         self._last_good_vpi = np.zeros(self.n_lcpus)
-        self._last_good_core = np.zeros(self.n_cores)
+        self._last_good_ldst = np.zeros(self.n_lcpus)
         #: closed [start, end) spans the monitor spent degraded.
         self.degraded_intervals: list[tuple[float, float]] = []
         self._degraded_since: float | None = None
@@ -203,10 +200,9 @@ class MetricMonitor:
 
         if self._faults is None or not self._faults.has_counter_faults:
             ok = True
-            raw_vpi, ldst, counter, core_pre = self.vpi_reader.sample_full_core()
+            raw_vpi, ldst, counter = self.vpi_reader.sample_full()
         else:
             ok, raw_vpi, ldst, counter = self._sample_vpi_faulty(now)
-            core_pre = None
         if ok:
             if self.config.metric_mode == "cps":
                 # the rejected Section 3.1 alternative: counter value per
@@ -214,10 +210,6 @@ class MetricMonitor:
                 vpi = counter / (dt / 1e6)
             else:
                 vpi = raw_vpi
-            if core_pre is not None:
-                core_vpi = core_pre
-            else:
-                core_vpi = aggregate_per_core(vpi, ldst, self.n_cores)
 
             vpi_alpha = 1.0 - math.exp(-dt / self.config.vpi_ema_tau_us)
             np.subtract(vpi, self._vpi_ema, out=tmp)
@@ -225,13 +217,13 @@ class MetricMonitor:
             self._vpi_ema += tmp
             if self._faults is not None:
                 self._last_good_vpi = vpi
-                self._last_good_core = core_vpi
+                self._last_good_ldst = ldst
         else:
             # stale window: hold the last-good VPI view (and its EMA) so
             # one bad read doesn't flap the algorithms; K held windows in
             # a row flip health to "degraded" (see _note_stale).
             vpi = self._last_good_vpi
-            core_vpi = self._last_good_core
+            ldst = self._last_good_ldst
 
         self._update_lc_statuses(dt, alpha)
         new, gone = self._scan_containers()
@@ -241,7 +233,7 @@ class MetricMonitor:
             usage=usage,
             usage_ema=self._usage_ema.copy(),
             vpi=vpi,
-            core_vpi=core_vpi,
+            ldst=ldst,
             new_containers=new,
             gone_containers=gone,
             lc_statuses=list(self.lc_services.values()),
@@ -374,16 +366,17 @@ class MetricMonitor:
         """Diff the batch cgroup directory against the tracked set."""
         root = self.config.batch_cgroup_root
         try:
-            names = frozenset(self.system.cgroups.list_children(root))
+            names = self.system.cgroups.get(root).children.keys()
         except KeyError:
             names = frozenset()
         new: list[ContainerInfo] = []
         gone: list[ContainerInfo] = []
         if names == self._container_names:
             # nothing launched or exited since the last tick: the common
-            # case on the 50 us loop, so skip the per-name set algebra.
+            # case on the 50 us loop, so compare the live names with the
+            # cached set and skip the per-name set algebra.
             return new, gone
-        self._container_names = names
+        names = self._container_names = frozenset(names)
         # sorted: set iteration is hash-ordered, which varies between
         # interpreter runs and would make discovery (and every scheduling
         # decision downstream of it) non-reproducible across processes.

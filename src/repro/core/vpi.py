@@ -31,7 +31,6 @@ class VPIReader:
         min_instructions: float = 50.0,
         plane=None,
         node_index: int = 0,
-        want_core: bool = False,
     ):
         self.server = server
         self.event = event
@@ -40,9 +39,6 @@ class VPIReader:
         #: batched-read mode: a cluster-wide VPI hub
         #: (repro.cluster.dataplane) computes every node's windowed VPI in
         #: one numpy pass; this reader then only consumes its own row.
-        #: ``want_core`` additionally asks the hub for the batched
-        #: per-core aggregate (only valid when the caller would aggregate
-        #: the raw VPI unchanged).
         self._hub = None
         self._node = node_index
         if plane is not None:
@@ -51,11 +47,9 @@ class VPIReader:
                 engine.event_index[e.code]
                 for e in (event, INSTR_LOAD, INSTR_STORE)
             )
-            self._hub = plane.vpi_hub(
-                cols, scale, min_instructions, server.topology.n_cores
-            )
+            self._hub = plane.vpi_hub(cols, scale, min_instructions)
             if self._hub is not None:
-                self._hub.register(node_index, want_core)
+                self._hub.register(node_index)
         if self._hub is None:
             self._group = CounterGroup(server, [event, INSTR_LOAD, INSTR_STORE])
 
@@ -76,29 +70,14 @@ class VPIReader:
         must never read as negative stalls or instructions (which would
         push VPI negative, or NaN through the core aggregation).
         """
-        vpi, ldst, counter, _ = self.sample_full_core()
-        return vpi, ldst, counter
-
-    def sample_full_core(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-        """:meth:`sample_full` plus a batch-precomputed per-core aggregate.
-
-        The fourth element is the instruction-weighted per-core VPI when
-        the batched hub computed it for this window, else None (scalar
-        path, cps mode, fault-corrupted samples): the monitor then runs
-        :func:`aggregate_per_core` itself.
-        """
         if self._hub is not None:
             return self._hub.consume(self._node, self.server.env.now)
         deltas = self._group.sample()
         counter = np.maximum(deltas[:, 0], 0.0)
         ldst = deltas[:, 1] + deltas[:, 2]
         np.maximum(ldst, 0.0, out=ldst)
-        vpi = np.zeros_like(counter)
-        mask = ldst >= self.min_instructions
-        vpi[mask] = counter[mask] / ldst[mask] * self.scale
-        return vpi, ldst, counter, None
+        vpi = masked_vpi(counter, ldst, self.min_instructions, self.scale)
+        return vpi, ldst, counter
 
     def resync(self) -> None:
         """Discard the window since the last read (re-baseline).
@@ -110,6 +89,22 @@ class VPIReader:
             self._hub.rebaseline(self._node)
             return
         self._group.sample()
+
+
+def masked_vpi(counter: np.ndarray, ldst: np.ndarray,
+               min_instructions: float, scale: float) -> np.ndarray:
+    """``counter / ldst * scale`` where ``ldst`` reaches the floor, else 0.
+
+    Divides and scales in place under the mask: elementwise the same
+    arithmetic as a boolean gather, divide, scale and scatter, so the
+    result is bitwise identical, without the gather's temporaries.
+    """
+    vpi = np.zeros(counter.shape)
+    mask = ldst >= min_instructions
+    np.divide(counter, ldst, out=vpi, where=mask)
+    if scale != 1.0:  # x * 1.0 == x: the default scale needs no pass
+        np.multiply(vpi, scale, out=vpi, where=mask)
+    return vpi
 
 
 def aggregate_per_core(values: np.ndarray, weights: np.ndarray,
@@ -127,8 +122,7 @@ def aggregate_per_core(values: np.ndarray, weights: np.ndarray,
         raise ValueError(f"expected {2 * n_cores} lcpus, got {values.size}")
     # fully vectorized (no boolean-gather temporaries): elementwise
     # multiply-add then a masked divide is bitwise identical to gathering
-    # the active cores first, and it is what the cps-mode / fault-path
-    # fallback runs every tick when it opts out of the batched hub.
+    # the active cores first.
     v0, v1 = values[:n_cores], values[n_cores:]
     w0, w1 = weights[:n_cores], weights[n_cores:]
     total = w0 + w1

@@ -283,7 +283,7 @@ class CounterEngine:
         50 us; copying only those columns avoids the full-matrix copy of
         :meth:`snapshot_all` on the hot path.
         """
-        return self._values[:, cols]
+        return self._values.take(cols, axis=1)
 
     def column(self, event: HPE | int) -> np.ndarray:
         """Cumulative values of one event across all logical CPUs."""

@@ -46,10 +46,11 @@ class UsageTracker:
             usage = np.zeros_like(busy)
         else:
             # two allocations per call (snapshot + delta) instead of four:
-            # this runs on the 50 us monitor tick.
+            # this runs on the 50 us monitor tick.  ``np.clip`` only
+            # dispatches to the array's own ``clip``: call that directly.
             usage = busy - self._last_busy
             usage /= dt
-            np.clip(usage, 0.0, 1.0, out=usage)
+            usage.clip(0.0, 1.0, out=usage)
         self._last_busy = busy
         self._last_time = now
         return usage

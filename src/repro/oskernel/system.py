@@ -56,6 +56,9 @@ class System:
         #: optional callable(lcpu, tid, kind, start_us, duration_us)
         #: invoked for every executed quantum (see repro.tracing).
         self.quantum_hook = None
+        #: the CpuKind of each op class threads ran: keyed by a MemOp's
+        #: dram_frac, and None for every CompOp (see SimThread.exec).
+        self.cpu_kinds: dict = {}
 
     # -- id allocation (used by Thread/Process constructors) ----------------
 
@@ -129,19 +132,19 @@ class System:
         """Tear down a finished machine so reference counting frees it.
 
         Closes the environment first: every live thread's generator runs
-        its ``finally`` blocks now, in creation order (``exec`` marks its
-        CPU idle and releases it; the thread exits, leaving its cgroup).
-        Then drops each link from a part back to its owner, which made
-        the machine one reference cycle: thread to system and process
-        (and its quantum callback and body, bound methods of the thread
-        or of a service owning it), process to system, cgroup to parent
-        and filesystem, filesystem to system, and each CPU's and the
-        disk's held and queued requests.  Call it once the run's result
-        has been read; idempotent.
+        its ``finally`` blocks now, in creation order (a running ``exec``
+        marks its CPU idle and releases it; the thread exits, killed,
+        leaving its cgroup).  Then drops each link from a part back to
+        its owner, which made the machine one reference cycle: thread to
+        system and process (and its quantum and grant callbacks and body,
+        bound methods of the thread or of a service owning it), process
+        to system, cgroup to parent and filesystem, filesystem to system,
+        and each CPU's and the disk's held and queued requests.  Call it
+        once the run's result has been read; idempotent.
         """
         self.env.close()
         for t in self.threads.values():
-            t.system = t.process = t._continuation = t._body = None
+            t.system = t.process = t._continuation = t._grant = t._body = None
         for p in self.processes.values():
             p.system = None
         for group in self.cgroups.root.walk():

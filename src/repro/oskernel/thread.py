@@ -15,12 +15,17 @@ CPU time-sharing emerges from quantum-sized FIFO requests on the per-CPU
 resources: contending threads interleave round-robin at quantum
 granularity, and an affinity change takes effect at the next quantum
 boundary -- the same migration latency profile as `sched_setaffinity` on
-a real kernel.  A quantum that starts inside the dispatch of the thread's
-own previous timeout, on a free CPU with nothing else due, takes the CPU
-in place rather than through a grant event, and a quantum that ends
-with work left on such a CPU is followed by the next one inside the
-quantum timeout's own callback, without resuming ``exec``; the firing
-order is the same either way (DESIGN.md section 9).
+a real kernel.
+
+``exec`` resumes its generator once per op: the per-quantum cycle (take
+a CPU, price a quantum, give the CPU back) runs in the grant's and the
+quantum timeout's callbacks.  A quantum that starts inside the dispatch
+of the event that woke the thread alone (its own timeout, or an event
+it was the last waiter of), on a free CPU with nothing else due, takes
+the CPU in place rather than through a grant event, and a quantum that
+ends with work left on such a CPU is followed by the next one without
+giving the CPU up; the firing order is the same either way (DESIGN.md
+section 9).
 """
 
 from __future__ import annotations
@@ -87,7 +92,8 @@ class SimThread:
         #: the logical CPU this thread is queued on while WAITING_CPU.
         self.pending_lcpu: Optional[int] = None
         self._pending_req = None
-        #: the last quantum, sleep or disk timeout this thread waited on.
+        #: the last event that woke this thread alone: a quantum, sleep or
+        #: disk timeout, or an event it was the last waiter of.
         self._own_timeout = None
         self._kill_requested = False
         self._body = body
@@ -96,7 +102,9 @@ class SimThread:
         #: after an interrupt left it pending) and its one callback list.
         self._timer = None
         self._continuation = [self._quantum_end]
-        #: what exec() parks on while a quantum runs: it never fires.
+        #: the CPU grant's callback (bound once, not per request).
+        self._grant = self._granted
+        #: what exec() parks on for the rest of an op: it never fires.
         self._park = self.env.event()
         self.sim_proc = self.env.process(self._main(), name=self.name)
 
@@ -146,6 +154,11 @@ class SimThread:
             else:  # pragma: no cover - unexpected
                 self.state = ThreadState.CRASHED
                 raise
+        except GeneratorExit:
+            # torn down by close() (or finalized unclosed): killed, not
+            # crashed
+            self.state = ThreadState.KILLED
+            raise
         except BaseException:
             self.state = ThreadState.CRASHED
             raise
@@ -182,98 +195,145 @@ class SimThread:
         return best
 
     def exec(self, op):
-        """Run a CPU op to completion.  Generator (use ``yield from``)."""
+        """Run a CPU op to completion.  Generator (use ``yield from``).
+
+        Runs the loop top once, then parks for the rest of the op: the
+        grant (:meth:`_granted`) and quantum-end (:meth:`_quantum_end`)
+        callbacks run every later step, and resume the generator only at
+        op end, or to raise :class:`ThreadKilled`.  An interrupt still
+        lands here, at the park.
+        """
         if isinstance(op, MemOp):
             remaining = float(op.lines)
-            kind = CpuKind(mem=op.mem_pressure, comp=op.comp_pressure)
-            is_mem = True
+            key = op.dram_frac
         elif isinstance(op, CompOp):
             remaining = float(op.cycles)
-            kind = CpuKind(mem=op.mem_pressure, comp=op.comp_pressure)
-            is_mem = False
+            key = None
         elif isinstance(op, DiskOp):
             yield from self.disk_io(op.nbytes, write=op.write)
             return
         else:
             raise TypeError(f"unknown op type: {op!r}")
-
-        env = self.env
-        server = self._server
-        slots = self.system.cpu_slots
-        park = self._park
+        # a MemOp's kind depends only on its dram_frac, a CompOp's is
+        # fixed: one CpuKind per distinct value, kept by the system
+        kinds = self.system.cpu_kinds
+        kind = kinds.get(key)
+        if kind is None:
+            kind = kinds[key] = CpuKind(mem=op.mem_pressure, comp=op.comp_pressure)
         # the op and its quantum, for _start_quantum()
         self._q_op = op
         self._q_kind = kind
-        self._q_mem = is_mem
+        self._q_mem = key is not None
         self._q_quantum = self.quantum_us
-        while remaining > 1e-9:
-            self._check_kill()
-            lcpu = self._choose_lcpu()
-            slot = slots[lcpu]
-            # In-place grant: running inside the dispatch of our own
-            # single-waiter timeout, with nothing else due now, the grant
-            # request() would schedule is the very next event dispatched,
-            # so taking the slot here runs the same statements in the
-            # same order (DESIGN.md section 9).
-            own = self._own_timeout
-            req = None
-            if (
-                own is not None
-                and own.callbacks is None
-                and not own._processed
-                and env.nothing_due_now()
-            ):
-                req = slot.seize(self.tid)
-            if req is None:
-                req = slot.request(tag=self.tid)
-                self.state = ThreadState.WAITING_CPU
-                self.pending_lcpu = lcpu
-                self._pending_req = req
-                try:
-                    yield req
-                except Interrupt as i:
-                    slot.release(req)
-                    self.pending_lcpu = None
-                    self._pending_req = None
-                    if i.cause == _KILL:
-                        raise ThreadKilled(self.name)
-                    continue  # migrate: re-choose under the new mask
-                self.pending_lcpu = None
-                self._pending_req = None
-
-                if lcpu not in self._affinity:
-                    # mask changed while queued; the grant is stale
-                    slot.release(req)
-                    continue
-
-            self.state = ThreadState.RUNNING
-            self.last_lcpu = lcpu
-            server.set_running(lcpu, kind)
-            self._q_slot = slot
-            self._q_remaining = remaining
-            self._start_quantum(lcpu)
-            self._own_timeout = timer = self._timer
-            # Park until _quantum_end() hands the quantum's timeout back:
-            # it runs back-to-back quanta on this CPU itself, so the
-            # state below may be several quanta on.
-            killed = False
+        self._q_remaining = remaining
+        park = self._park
+        parked = self._loop_top()
+        while parked:
             try:
                 yield park
             except Interrupt as i:
-                # rare: an interrupt lands mid-quantum.  Detach the
-                # continuation (the timeout then fires with no callbacks)
-                # and leave the pending timer behind; the quantum is
-                # already accounted, so just fold it in.
-                timer.callbacks = []
-                self._timer = None
-                killed = i.cause == _KILL
-            finally:
-                server.set_idle(lcpu)
-                slot.release(req)
-            remaining = self._q_remaining - self._q_done
-            self.cputime_us += self._q_duration
-            if killed:
-                raise ThreadKilled(self.name)
+                if self.state is ThreadState.WAITING_CPU:
+                    # stop listening for the grant, then give it back
+                    req = self._pending_req
+                    req.callbacks.remove(self._grant)
+                    req.resource.release(req)
+                    self.pending_lcpu = None
+                    self._pending_req = None
+                else:
+                    # rare: an interrupt lands mid-quantum.  Detach the
+                    # continuation (the timeout then fires with no
+                    # callbacks) and leave the pending timer behind; the
+                    # quantum is already accounted, so just fold it in.
+                    self._timer.callbacks = []
+                    self._timer = None
+                    self._give_back()
+                if i.cause == _KILL:
+                    raise ThreadKilled(self.name)
+                # migrate: the loop top re-chooses under the new mask
+                parked = self._loop_top()
+            except GeneratorExit:
+                # closed mid-quantum: release the CPU, as the quantum's
+                # end would have
+                if self.state is ThreadState.RUNNING:
+                    self._server.set_idle(self.last_lcpu)
+                    self._q_slot.release(self._q_req)
+                raise
+            else:
+                # resumed by a callback whose loop top found the op
+                # finished or a kill requested
+                parked = False
+        if self._q_remaining > 1e-9:
+            raise ThreadKilled(self.name)
+
+    def _woken_alone(self) -> bool:
+        """True inside the dispatch of the event that last woke this
+        thread alone, with nothing else due now.  A grant scheduled now
+        would then be the very next event dispatched, so taking a free
+        slot in place runs the same statements in the same order
+        (DESIGN.md section 9)."""
+        own = self._own_timeout
+        return (
+            own is not None
+            and own.callbacks is None
+            and not own._processed
+            and self.env.nothing_due_now()
+        )
+
+    def _loop_top(self) -> bool:
+        """One pass of exec's loop top: pick a CPU, then take it in place
+        (pricing a quantum) or queue for its grant.  False, with nothing
+        done, when the op is finished or a kill is requested."""
+        if self._q_remaining <= 1e-9 or self._kill_requested:
+            return False
+        lcpu = self._choose_lcpu()
+        slot = self.system.cpu_slots[lcpu]
+        req = slot.seize(self.tid) if self._woken_alone() else None
+        if req is None:
+            req = slot.request(tag=self.tid)
+            self.state = ThreadState.WAITING_CPU
+            self.pending_lcpu = lcpu
+            self._pending_req = req
+            req.callbacks.append(self._grant)
+        else:
+            self._run(lcpu, slot, req)
+        return True
+
+    def _granted(self, req) -> None:
+        """The CPU grant's callback: what exec ran after its grant."""
+        lcpu = self.pending_lcpu
+        self.pending_lcpu = None
+        self._pending_req = None
+        if lcpu in self._affinity:
+            self._run(lcpu, req.resource, req)
+        else:
+            # mask changed while queued; the grant is stale
+            req.resource.release(req)
+            self._next(req)
+
+    def _run(self, lcpu: int, slot, req) -> None:
+        """Hold ``lcpu`` through ``req`` and start the op's next quantum."""
+        self.state = ThreadState.RUNNING
+        self.last_lcpu = lcpu
+        self._server.set_running(lcpu, self._q_kind)
+        self._q_slot = slot
+        self._q_req = req
+        self._start_quantum(lcpu)
+        self._own_timeout = self._timer
+
+    def _give_back(self) -> None:
+        """exec's quantum epilogue: idle and release the CPU, and fold
+        the quantum into the op."""
+        self._server.set_idle(self.last_lcpu)
+        self._q_slot.release(self._q_req)
+        self._q_remaining -= self._q_done
+        self.cputime_us += self._q_duration
+
+    def _next(self, event) -> None:
+        """Run exec's loop top from a callback; at op end or for a kill,
+        resume exec with ``event``, as its dispatch would."""
+        if not self._loop_top():
+            self._park.callbacks.clear()
+            self.sim_proc._resume(event)
 
     def _start_quantum(self, lcpu: int) -> None:
         """Price the next quantum of the current op on ``lcpu``, which
@@ -310,11 +370,11 @@ class SimThread:
         """The quantum timeout's only callback.
 
         With work left, no kill requested, the CPU still in the mask, no
-        one queued on it and nothing else due now, exec() would release
-        the CPU, pick it again, seize it in place and price the next
-        quantum in this same dispatch (DESIGN.md section 9): do that
-        here, keeping the CPU.  Otherwise resume exec() with the
-        timeout, as the dispatch itself would.
+        one queued on it and nothing else due now, exec's epilogue and
+        loop top would release the CPU, pick it again, seize it in place
+        and price the next quantum in this same dispatch (DESIGN.md
+        section 9): do that here, keeping the CPU.  Otherwise run the
+        epilogue and the loop top.
         """
         # dispatch marks the timer processed after this returns; like a
         # fresh timeout it reads unprocessed while its callbacks run
@@ -331,8 +391,8 @@ class SimThread:
             self.cputime_us += self._q_duration
             self._start_quantum(self.last_lcpu)
             return
-        self._park.callbacks.clear()
-        self.sim_proc._resume(timer)
+        self._give_back()
+        self._next(timer)
 
     # -- blocking primitives -----------------------------------------------------
 
@@ -357,12 +417,18 @@ class SimThread:
         """Block on an arbitrary event; returns the event's value."""
         self._check_kill()
         self.state = ThreadState.BLOCKED
+        # held: a one-shot event drops its callback list when it fires
+        callbacks = event.callbacks
         try:
             value = yield event
         except Interrupt as i:
             if i.cause == _KILL:
                 raise ThreadKilled(self.name)
             raise
+        if callbacks and callbacks[-1] is self.sim_proc._on_fire:
+            # the event's last waiter: nothing else its dispatch runs
+            # comes after this thread, so it woke the thread alone
+            self._own_timeout = event
         return value
 
     def disk_io(self, nbytes: int, write: bool = False):
@@ -370,7 +436,10 @@ class SimThread:
         self._check_kill()
         self.state = ThreadState.BLOCKED
         disk = self.system.server.disk
-        req = yield from disk.channels.acquire()
+        # a free channel is taken in place under exec's condition
+        req = disk.channels.seize() if self._woken_alone() else None
+        if req is None:
+            req = yield from disk.channels.acquire()
         try:
             self._own_timeout = timeout = self.env.timeout(
                 disk.service_time(nbytes, write)

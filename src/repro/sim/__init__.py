@@ -27,18 +27,13 @@ from repro.sim.core import (
     AnyOf,
     AllOf,
     SimulationError,
-    DEFAULT_CALENDAR,
 )
-from repro.sim.calendar import HeapEnvironment, WheelEnvironment
 from repro.sim.resources import Resource, Preempted
 from repro.sim.stores import Store, QueueFull
 from repro.sim.monitor import Series, PeriodicSampler
 
 __all__ = [
     "Environment",
-    "HeapEnvironment",
-    "WheelEnvironment",
-    "DEFAULT_CALENDAR",
     "Event",
     "Timeout",
     "RecurringTimeout",

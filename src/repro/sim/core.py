@@ -2,28 +2,14 @@
 
 Design notes
 ------------
-The engine separates the *event machinery* (this module) from the
-*calendar* -- the priority structure that orders pending events.  Two
-calendar kernels live in :mod:`repro.sim.calendar`:
-
-* :class:`~repro.sim.calendar.HeapEnvironment` -- the classic binary
-  heap over ``heapq``; the reference kernel;
-* :class:`~repro.sim.calendar.WheelEnvironment` -- a bucketed timer
-  wheel with an overflow heap; the default production kernel.
-
-Calendar entries are ``[time, priority, seq, event]`` lists; ``seq`` is
-a monotonically increasing tie-breaker so that events scheduled at the
-same instant fire in FIFO order and runs are bit-for-bit deterministic.
-Both kernels fire events in exactly the same ``(time, priority, seq)``
-order, which the calendar-equivalence tests verify trace-for-trace.
-Entries are lists (not tuples) so a pending entry can be *lazily
-cancelled*: ``env.cancel(event)`` blanks the entry in place and the
-dispatch loop skips it when popped, with no O(n) removal.
-
-Instantiating :class:`Environment` directly picks the default kernel
-(``wheel``, overridable with the ``REPRO_SIM_CALENDAR`` environment
-variable or the ``calendar=`` keyword) and returns the matching
-subclass.
+The calendar -- the priority structure that orders pending events -- is
+a binary heap over ``heapq`` of ``[time, priority, seq, event]``
+entries.  ``seq`` is a monotonically increasing tie-breaker so that
+events scheduled at the same instant fire in FIFO order and runs are
+bit-for-bit deterministic.  Entries are lists (not tuples) so a pending
+entry can be *lazily cancelled*: ``env.cancel(event)`` blanks the entry
+in place and the dispatch loop skips it when popped, with no O(n)
+removal.
 
 Processes are plain Python generators.  A process yields :class:`Event`
 objects; when the yielded event fires, the event's value is sent back into
@@ -40,7 +26,7 @@ nobody closes is still freed, by the collector.
 
 from __future__ import annotations
 
-import os
+from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Generator, Iterable, Optional
 
 # Event priorities: URGENT fires before NORMAL at the same timestamp.  The
@@ -51,12 +37,6 @@ NORMAL = 1
 
 # Sentinel for "event not yet triggered".
 _PENDING = object()
-
-#: calendar kernel used when ``Environment()`` is called with no explicit
-#: choice and ``REPRO_SIM_CALENDAR`` is unset.
-DEFAULT_CALENDAR = "wheel"
-
-_CALENDAR_ENV_VAR = "REPRO_SIM_CALENDAR"
 
 
 class SimulationError(RuntimeError):
@@ -425,49 +405,20 @@ class AllOf(Condition):
         return self._count >= len(self.events)
 
 
-def _resolve_calendar(name: Optional[str]) -> str:
-    name = name or os.environ.get(_CALENDAR_ENV_VAR) or DEFAULT_CALENDAR
-    if name not in ("heap", "wheel"):
-        raise ValueError(
-            f"unknown calendar kernel {name!r} (expected 'heap' or 'wheel')"
-        )
-    return name
-
-
 class Environment:
-    """The simulation clock and event calendar (abstract front).
+    """The simulation clock and its event calendar, a binary heap."""
 
-    ``Environment(...)`` instantiates the selected calendar kernel:
-    ``calendar=`` keyword first, then the ``REPRO_SIM_CALENDAR``
-    environment variable, then :data:`DEFAULT_CALENDAR`.  The concrete
-    kernels (:class:`~repro.sim.calendar.HeapEnvironment`,
-    :class:`~repro.sim.calendar.WheelEnvironment`) implement
-    ``_schedule``/``peek``/``step``/``run`` and share
-    everything else from this base class.
-    """
+    #: the calendar kernel's name (stamped on benchmark records).
+    calendar_name = "heap"
 
-    calendar_name = "abstract"
-
-    def __new__(cls, initial_time: float = 0.0,
-                calendar: Optional[str] = None, **kwargs):
-        if cls is Environment:
-            from repro.sim.calendar import HeapEnvironment, WheelEnvironment
-
-            cls = (
-                HeapEnvironment
-                if _resolve_calendar(calendar) == "heap"
-                else WheelEnvironment
-            )
-        return super().__new__(cls)
-
-    def __init__(self, initial_time: float = 0.0,
-                 calendar: Optional[str] = None):
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._seq = 0
         self._active_process: Optional[Process] = None
         #: live processes in creation order (a dict used as an ordered
         #: set): the order close() finalizes them in.
         self._procs: dict[Process, None] = {}
+        self._heap: list = []
 
     @property
     def now(self) -> float:
@@ -494,11 +445,14 @@ class Environment:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
-    # -- scheduling (kernel interface) ------------------------------------
+    # -- scheduling -------------------------------------------------------
 
     def _schedule(self, event: Event, priority: int = NORMAL,
                   delay: float = 0.0) -> None:
-        raise NotImplementedError
+        self._seq = seq = self._seq + 1
+        entry = [self._now + delay, priority, seq, event]
+        event._entry = entry
+        _heappush(self._heap, entry)
 
     def cancel(self, event: Event) -> bool:
         """Lazily cancel ``event``'s pending calendar entry.
@@ -514,15 +468,14 @@ class Environment:
             return False
         entry[3] = None
         event._entry = None
-        self._note_cancel(entry)
         return True
-
-    def _note_cancel(self, entry: list) -> None:
-        """Kernel hook: bookkeeping after an entry is blanked."""
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if the calendar is empty."""
-        raise NotImplementedError
+        heap = self._heap
+        while heap and heap[0][3] is None:
+            _heappop(heap)
+        return heap[0][0] if heap else float("inf")
 
     def nothing_due_now(self) -> bool:
         """True when no calendar entry is due at the current time.
@@ -531,15 +484,87 @@ class Environment:
         now still counts as due.  Inside a dispatch, True means an event
         scheduled now with no delay would be the next one dispatched.
         """
-        raise NotImplementedError
+        heap = self._heap
+        return not heap or heap[0][0] > self._now
 
     def step(self) -> None:
         """Process exactly one event."""
-        raise NotImplementedError
+        heap = self._heap
+        while heap and heap[0][3] is None:
+            _heappop(heap)
+        if not heap:
+            raise SimulationError("no scheduled events")
+        entry = _heappop(heap)
+        event = entry[3]
+        entry[3] = None
+        event._entry = None
+        self._now = t = entry[0]
+        if event.__class__ is RecurringTimeout and event.auto:
+            self._seq = seq = self._seq + 1
+            e2 = [t + event.period, NORMAL, seq, event]
+            event._entry = e2
+            _heappush(heap, e2)
+            callbacks, event.callbacks = event.callbacks, []
+            for cb in callbacks:
+                cb(event)
+        else:
+            callbacks, event.callbacks = event.callbacks, None
+            for cb in callbacks:
+                cb(event)
+            event._processed = True
+        if not event._ok and not event._defused:
+            raise event._value
 
     def run(self, until: Optional[float] = None) -> None:
-        """Run until the calendar drains or the clock reaches ``until``."""
-        raise NotImplementedError
+        """Run until the calendar drains or the clock reaches ``until``.
+
+        The loop body is :meth:`step` inlined with the heap and heappop
+        bound to locals: this path pops every event of every run, and the
+        per-event call/attribute overhead of delegating to ``step()`` is
+        measurable on multi-second horizons.
+        """
+        if until is None:
+            limit = float("inf")
+        else:
+            limit = float(until)
+            if limit < self._now:
+                raise SimulationError(
+                    f"run(until={limit}) is in the past (now={self._now})"
+                )
+        heap = self._heap
+        pop = _heappop
+        push = _heappush
+        while heap:
+            if heap[0][0] > limit:
+                self._now = until
+                return
+            entry = pop(heap)
+            event = entry[3]
+            if event is None:
+                continue  # lazily cancelled
+            entry[3] = None
+            event._entry = None
+            self._now = t = entry[0]
+            if event.__class__ is RecurringTimeout and event.auto:
+                # Re-arm before callbacks run so that, like a manual
+                # rearm() at the top of the waiting loop, the next firing
+                # gets the first seq allocated at this instant.
+                self._seq = seq = self._seq + 1
+                e2 = [t + event.period, NORMAL, seq, event]
+                event._entry = e2
+                push(heap, e2)
+                callbacks, event.callbacks = event.callbacks, []
+                for cb in callbacks:
+                    cb(event)
+            else:
+                callbacks, event.callbacks = event.callbacks, None
+                for cb in callbacks:
+                    cb(event)
+                event._processed = True
+            if not event._ok and not event._defused:
+                raise event._value
+        if until is not None:
+            self._now = until
 
     # -- teardown ---------------------------------------------------------
 
@@ -559,19 +584,10 @@ class Environment:
         for proc in procs:
             proc._target = proc._on_fire = proc.callbacks = None
             proc.gen.close()
-        self._drop_calendar()
-
-    def _drop_calendar(self) -> None:
-        """Kernel hook: blank and drop every pending calendar entry."""
-        raise NotImplementedError
-
-    # shared by both kernels' run() implementations
-    def _check_until(self, until: Optional[float]) -> float:
-        if until is None:
-            return float("inf")
-        until = float(until)
-        if until < self._now:
-            raise SimulationError(
-                f"run(until={until}) is in the past (now={self._now})"
-            )
-        return until
+        for entry in self._heap:
+            event = entry[3]
+            if event is not None:
+                entry[3] = None
+                event._entry = None
+                event.callbacks = None
+        self._heap.clear()

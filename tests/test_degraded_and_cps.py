@@ -47,7 +47,7 @@ def fake_sample(holmes, t, health, vpi=None):
         usage=z,
         usage_ema=z.copy(),
         vpi=z.copy() if vpi is None else vpi,
-        core_vpi=np.zeros(mon.n_cores),
+        ldst=z.copy(),
         new_containers=[],
         gone_containers=[],
         lc_statuses=list(mon.lc_services.values()),

@@ -320,7 +320,7 @@ def _drive(ticks):
             usage=usage_arr,
             usage_ema=usage_arr,
             vpi=vpi_arr,
-            core_vpi=np.zeros(_N_LCPUS // 2),
+            ldst=np.zeros(_N_LCPUS),
             new_containers=new,
             gone_containers=gone,
             lc_statuses=[SimpleNamespace(serving=serving)],
@@ -418,7 +418,7 @@ def test_hold_down_sequence_directed():
             usage=np.full(_N_LCPUS, 0.2),
             usage_ema=np.full(_N_LCPUS, 0.2),
             vpi=np.full(_N_LCPUS, float(vpi_value)),
-            core_vpi=np.zeros(_N_LCPUS // 2),
+            ldst=np.zeros(_N_LCPUS),
             new_containers=list(new),
             gone_containers=[],
             lc_statuses=[SimpleNamespace(serving=serving)],
