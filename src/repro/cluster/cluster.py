@@ -143,9 +143,7 @@ class Cluster:
             from repro.hw.topology import Topology
 
             topo = Topology(cfg)
-            self.dataplane = ClusterDataPlane(
-                n_servers, topo.n_lcpus, topo.n_cores, len(ALL_EVENTS)
-            )
+            self.dataplane = ClusterDataPlane(n_servers, topo.n_lcpus, len(ALL_EVENTS))
         plane = self.dataplane
         self.nodes: list[ServerNode] = []
         for i in range(n_servers):

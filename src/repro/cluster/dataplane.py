@@ -220,12 +220,9 @@ class _VPIHub:
 class ClusterDataPlane:
     """Cluster-wide pooled arrays plus the batched read hubs."""
 
-    def __init__(
-        self, n_nodes: int, n_lcpus: int, n_cores: int, n_events: int
-    ):
+    def __init__(self, n_nodes: int, n_lcpus: int, n_events: int):
         self.n_nodes = n_nodes
         self.n_lcpus = n_lcpus
-        self.n_cores = n_cores
         self.counters = np.zeros(
             (n_nodes, n_lcpus, n_events), dtype=np.float64
         )

@@ -31,8 +31,6 @@ from repro.profiling.predictor import (
 from repro.profiling.probe import (
     ProbeTarget,
     WorkloadProfile,
-    measure_pair,
-    probe_target,
     seed_matrix,
 )
 from repro.profiling.stage import load_stage, run_profile_stage
@@ -49,8 +47,6 @@ __all__ = [
     "job_family",
     "ProbeTarget",
     "WorkloadProfile",
-    "measure_pair",
-    "probe_target",
     "seed_matrix",
     "load_stage",
     "run_profile_stage",

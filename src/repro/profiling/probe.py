@@ -19,15 +19,17 @@ inner kernel (cache lines touched, DRAM-miss fraction, compute cycles)
 Everything is a deterministic simulation: same seed, same profile,
 byte for byte — which is what lets profiles be golden-tested and cached
 as runner cells.  Pair ground truth for the compatibility model comes
-from :func:`measure_pair`: two targets co-run on the two hyperthreads
-of one core and the mean excess slowdown over their solo baselines is
-the label the model fits.
+from ``"pair"`` probes: two targets co-run on the two hyperthreads of
+one core and the mean excess slowdown over their solo baselines is the
+label the model fits.  Each run is one :class:`Probe`, and
+:func:`run_probe` runs it on a fresh system and returns its mean(s).
 """
 
 from __future__ import annotations
 
 from contextlib import closing
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.hw import HWConfig
 from repro.hw.ops import CompOp, MemOp
@@ -209,165 +211,84 @@ def _mean(samples: list) -> float:
     return sum(body) / len(body)
 
 
-def _run_target(
-    target: ProbeTarget,
-    seed: int,
-    iterations: int,
-    antagonist=None,
-    duty: float = 1.0,
-) -> float:
-    """Mean per-iteration latency of ``target``, optionally contended."""
-    with closing(_probe_system(seed)) as system:
-        until = _horizon_us(target, iterations)
+#: reference victims, as probe targets so the same rig measures them.
+MEM_VICTIM = ProbeTarget("ref-mem", REF_MEM_LINES, 1.0, 0.0)
+CPU_VICTIM = ProbeTarget("ref-cpu", 0, 0.0, REF_COMP_CYCLES)
+
+
+@dataclass(frozen=True)
+class Probe:
+    """One probe simulation: ``target`` on lcpu 0 and, by ``kind``, on
+    its SMT sibling:
+
+    * ``"solo"`` -- nothing;
+    * ``"mem"`` / ``"cpu"`` -- the reference DRAM-bound / compute
+      antagonist, busy for ``duty`` of the time;
+    * ``"victim"`` -- ``other``'s full kernel looping against the
+      reference victim ``target``;
+    * ``"pair"`` -- ``other``'s kernel, measured like ``target``'s.
+
+    Every probe builds its own two-core system from ``seed`` and shares
+    nothing with any other, so a plan of probes gives the same means in
+    any order and in any process.
+    """
+
+    kind: str
+    target: ProbeTarget
+    seed: int
+    iterations: int
+    other: Optional[ProbeTarget] = None
+    duty: float = 1.0
+
+    def horizon_us(self) -> float:
+        """Simulated length of the run (also its cost estimate)."""
+        horizon = _horizon_us(self.target, self.iterations)
+        if self.kind == "victim":
+            # the aggressor only has to loop, not be sampled
+            return max(horizon, _horizon_us(self.other, 2))
+        if self.kind == "pair":
+            return max(horizon, _horizon_us(self.other, self.iterations))
+        return horizon
+
+
+def run_probe(probe: Probe):
+    """Mean per-iteration latency of ``probe.target``; for a pair, the
+    means of both sides."""
+    target, other = probe.target, probe.other
+    with closing(_probe_system(probe.seed)) as system:
+        until = probe.horizon_us()
         samples: list = []
-        proc = system.spawn_process(f"probe-{target.name}")
+        other_samples: list = []
+        proc = system.spawn_process(f"{probe.kind}-{target.name}")
         proc.spawn_thread(
             lambda th: target.body(th, samples, until),
             affinity={0},
             name="target",
         )
-        if antagonist is not None:
-            sib = system.server.topology.sibling(0)
+        sib = {system.server.topology.sibling(0)}
+        if probe.kind in ("mem", "cpu"):
+            op = (
+                MemOp(lines=REF_MEM_LINES, dram_frac=1.0)
+                if probe.kind == "mem"
+                else CompOp(cycles=REF_COMP_CYCLES)
+            )
             proc.spawn_thread(
-                lambda th: _antagonist_body(th, antagonist, duty, until),
-                affinity={sib},
+                lambda th: _antagonist_body(th, op, probe.duty, until),
+                affinity=sib,
                 name="antagonist",
             )
-        system.run(until=until + 10.0)
-        if not samples:
-            raise RuntimeError(
-                f"probe horizon too short for target {target.name!r}: "
-                f"no iteration completed in {until} us"
+        elif other is not None:
+            proc.spawn_thread(
+                lambda th: other.body(th, other_samples, until),
+                affinity=sib,
+                name=other.name,
             )
-        return _mean(samples)
-
-
-def _excess(contended_us: float, solo_us: float) -> float:
-    """Excess slowdown (ratio - 1), floored at zero against sim noise."""
-    if solo_us <= 0.0:
-        return 0.0
-    return max(0.0, contended_us / solo_us - 1.0)
-
-
-#: reference victims, as probe targets so the same rig measures them.
-_MEM_VICTIM = ProbeTarget("ref-mem", REF_MEM_LINES, 1.0, 0.0)
-_CPU_VICTIM = ProbeTarget("ref-cpu", 0, 0.0, REF_COMP_CYCLES)
-
-
-def probe_target(
-    target: ProbeTarget,
-    seed: int = 42,
-    iterations: int = PROBE_ITERATIONS,
-    duties: tuple = PRESSURE_DUTIES,
-    _victim_solo: tuple = None,
-) -> WorkloadProfile:
-    """Measure one workload's full contention profile.
-
-    ``_victim_solo`` optionally carries the pre-calibrated
-    ``(mem_victim_solo_us, cpu_victim_solo_us)`` pair so a batch of
-    probes shares one calibration run per victim.
-    """
-    solo = _run_target(target, seed, iterations)
-
-    mem_op = MemOp(lines=REF_MEM_LINES, dram_frac=1.0)
-    curve = []
-    for duty in duties:
-        contended = _run_target(
-            target, seed, iterations, antagonist=mem_op, duty=duty
-        )
-        curve.append((float(duty), _excess(contended, solo)))
-    sens_mem = curve[-1][1] if curve else 0.0
-
-    comp_op = CompOp(cycles=REF_COMP_CYCLES)
-    sens_cpu = _excess(
-        _run_target(target, seed, iterations, antagonist=comp_op, duty=1.0),
-        solo,
-    )
-
-    if _victim_solo is None:
-        _victim_solo = victim_calibration(seed, iterations)
-    mem_solo, cpu_solo = _victim_solo
-    # pressure runs co-locate the target's *full* kernel (mem + comp
-    # phases, back to back) against each reference victim, so both
-    # phases' pressure lands in the measurement.
-    pressure_mem = _excess(
-        _run_victim(_MEM_VICTIM, target, seed, iterations), mem_solo
-    )
-    pressure_cpu = _excess(
-        _run_victim(_CPU_VICTIM, target, seed, iterations), cpu_solo
-    )
-    return WorkloadProfile(
-        name=target.name,
-        solo_us=solo,
-        sens_mem=sens_mem,
-        sens_cpu=sens_cpu,
-        pressure_mem=pressure_mem,
-        pressure_cpu=pressure_cpu,
-        sens_mem_curve=tuple(curve),
-    )
-
-
-def victim_calibration(seed: int = 42,
-                       iterations: int = PROBE_ITERATIONS) -> tuple:
-    """Solo baselines of the reference victims (one run each)."""
-    return (
-        _run_target(_MEM_VICTIM, seed, iterations),
-        _run_target(_CPU_VICTIM, seed, iterations),
-    )
-
-
-def _run_victim(victim: ProbeTarget, aggressor: ProbeTarget, seed: int,
-                iterations: int) -> float:
-    """Victim on lcpu 0, the aggressor's full kernel looping on the sibling."""
-    with closing(_probe_system(seed)) as system:
-        until = max(_horizon_us(victim, iterations),
-                    _horizon_us(aggressor, 2))
-        samples: list = []
-        proc = system.spawn_process(f"victim-{victim.name}")
-        proc.spawn_thread(
-            lambda th: victim.body(th, samples, until),
-            affinity={0},
-            name="victim",
-        )
-        sib = system.server.topology.sibling(0)
-        noise: list = []
-        proc.spawn_thread(
-            lambda th: aggressor.body(th, noise, until),
-            affinity={sib},
-            name="aggressor",
-        )
         system.run(until=until + 10.0)
-        if not samples:
+        if not samples or (probe.kind == "pair" and not other_samples):
             raise RuntimeError(
-                f"victim horizon too short against {aggressor.name!r}"
+                f"probe horizon too short: no iteration of {probe} "
+                f"completed in {until} us"
             )
+        if probe.kind == "pair":
+            return _mean(samples), _mean(other_samples)
         return _mean(samples)
-
-
-def measure_pair(
-    a: ProbeTarget,
-    b: ProbeTarget,
-    solo_a: float,
-    solo_b: float,
-    seed: int = 42,
-    iterations: int = PROBE_ITERATIONS,
-) -> float:
-    """Ground-truth excess slowdown of co-running ``a`` and ``b`` on the
-    two hyperthreads of one core: mean of both sides' excess over their
-    solo baselines."""
-    with closing(_probe_system(seed)) as system:
-        until = max(_horizon_us(a, iterations), _horizon_us(b, iterations))
-        sa: list = []
-        sb: list = []
-        proc = system.spawn_process(f"pair-{a.name}-{b.name}")
-        proc.spawn_thread(
-            lambda th: a.body(th, sa, until), affinity={0}, name="a"
-        )
-        sib = system.server.topology.sibling(0)
-        proc.spawn_thread(
-            lambda th: b.body(th, sb, until), affinity={sib}, name="b"
-        )
-        system.run(until=until + 10.0)
-        if not sa or not sb:
-            raise RuntimeError(f"pair horizon too short for {a.name}/{b.name}")
-        return (_excess(_mean(sa), solo_a) + _excess(_mean(sb), solo_b)) / 2.0

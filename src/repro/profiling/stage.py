@@ -15,15 +15,77 @@ from repro.profiling.model import (
     fit_quality,
 )
 from repro.profiling.probe import (
+    CPU_VICTIM,
+    MEM_VICTIM,
     PRESSURE_DUTIES,
     PROBE_ITERATIONS,
+    Probe,
     ProbeTarget,
     WorkloadProfile,
-    measure_pair,
-    probe_target,
+    run_probe,
     seed_matrix,
-    victim_calibration,
 )
+
+
+def stage_plan(targets, seed: int, iterations: int, duties) -> list[Probe]:
+    """Every probe one stage run simulates, in plan order.
+
+    The two victim calibrations; per target its solo run, a DRAM
+    antagonist run per duty level, a compute antagonist run and a run
+    against each reference victim; then every unordered pair, self-pairs
+    included (a job can share a core with its own sibling thread / a
+    second instance).
+    """
+    plan = [
+        Probe("solo", MEM_VICTIM, seed, iterations),
+        Probe("solo", CPU_VICTIM, seed, iterations),
+    ]
+    for t in targets:
+        plan.append(Probe("solo", t, seed, iterations))
+        plan += [Probe("mem", t, seed, iterations, duty=d) for d in duties]
+        plan += [
+            Probe("cpu", t, seed, iterations),
+            Probe("victim", MEM_VICTIM, seed, iterations, other=t),
+            Probe("victim", CPU_VICTIM, seed, iterations, other=t),
+        ]
+    for i, a in enumerate(targets):
+        plan += [Probe("pair", a, seed, iterations, other=b) for b in targets[i:]]
+    return plan
+
+
+def _excess(contended_us: float, solo_us: float) -> float:
+    """Excess slowdown (ratio - 1), floored at zero against sim noise."""
+    if solo_us <= 0.0:
+        return 0.0
+    return max(0.0, contended_us / solo_us - 1.0)
+
+
+def _fork_map(fn, plan: list, workers: int) -> list:
+    """``list(map(fn, plan))`` on ``workers`` forked processes.
+
+    Forked, not spawned: a worker inherits every module this process
+    has imported, where a spawned one would import numpy and ``repro``
+    again and cost what the fan-out saves.  The probe with the longest
+    horizon is submitted first, so no long probe is left for the end.
+    The pool is joined before this returns, also when a probe raises:
+    the first error in plan order propagates as itself, and probes not
+    yet started are cancelled.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(
+        max_workers=min(workers, len(plan)),
+        mp_context=multiprocessing.get_context("fork"),
+    )
+    try:
+        longest_first = sorted(
+            range(len(plan)), key=lambda i: plan[i].horizon_us(), reverse=True
+        )
+        futures = {i: pool.submit(fn, plan[i]) for i in longest_first}
+        return [futures[i].result() for i in range(len(plan))]
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def run_profile_stage(
@@ -31,9 +93,12 @@ def run_profile_stage(
     targets: tuple = None,
     iterations: int = PROBE_ITERATIONS,
     duties: tuple = PRESSURE_DUTIES,
+    workers: int = 1,
 ) -> dict:
     """Probe every target, measure every unordered pair, fit the model.
 
+    ``workers > 1`` runs the plan's probes on that many forked
+    processes instead of this one; the payload is the same either way.
     Deterministic: same inputs, byte-identical
     :func:`~repro.analysis.export.canonical_dumps` output.
     """
@@ -43,23 +108,44 @@ def run_profile_stage(
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate probe target names: {names}")
 
-    calib = victim_calibration(seed, iterations)
+    plan = stage_plan(targets, seed, iterations, duties)
+    results = (
+        map(run_probe, plan) if workers <= 1 else _fork_map(run_probe, plan, workers)
+    )
+    means = dict(zip(plan, results))
+
+    def result(kind, target, other=None, duty=1.0):
+        return means[Probe(kind, target, seed, iterations, other, duty)]
+
+    calib = (result("solo", MEM_VICTIM), result("solo", CPU_VICTIM))
     profiles: dict[str, WorkloadProfile] = {}
     for t in targets:
-        profiles[t.name] = probe_target(
-            t, seed=seed, iterations=iterations, duties=duties,
-            _victim_solo=calib,
+        solo = result("solo", t)
+        curve = tuple(
+            (float(d), _excess(result("mem", t, duty=d), solo)) for d in duties
+        )
+        profiles[t.name] = WorkloadProfile(
+            name=t.name,
+            solo_us=solo,
+            sens_mem=curve[-1][1] if curve else 0.0,
+            sens_cpu=_excess(result("cpu", t), solo),
+            # pressure runs co-locate the target's *full* kernel (mem +
+            # comp phases, back to back) against each reference victim,
+            # so both phases' pressure lands in the measurement.
+            pressure_mem=_excess(result("victim", MEM_VICTIM, t), calib[0]),
+            pressure_cpu=_excess(result("victim", CPU_VICTIM, t), calib[1]),
+            sens_mem_curve=curve,
         )
 
-    # ground truth over all unordered pairs, self-pairs included (a job
-    # can share a core with its own sibling thread / a second instance).
+    # ground truth: the mean of both sides' excess over their solos.
     pairs = []
     for i, a in enumerate(targets):
         for b in targets[i:]:
-            y = measure_pair(
-                a, b, profiles[a.name].solo_us, profiles[b.name].solo_us,
-                seed=seed, iterations=iterations,
-            )
+            mean_a, mean_b = result("pair", a, b)
+            y = (
+                _excess(mean_a, profiles[a.name].solo_us)
+                + _excess(mean_b, profiles[b.name].solo_us)
+            ) / 2.0
             pairs.append((a.name, b.name, y))
 
     model = fit_model(profiles, pairs)

@@ -275,7 +275,10 @@ class PoolExecutor(_ExecutorContext):
         return isinstance(exc, BrokenProcessPool)
 
     def close(self) -> None:
-        self._pool.shutdown(wait=False, cancel_futures=True)
+        # an idle pool is joined, so no worker or pool thread outlives
+        # the sweep; with tasks in flight (a failed or interrupted
+        # sweep) it is cancelled without waiting for a running cell.
+        self._pool.shutdown(wait=not self._futures, cancel_futures=True)
         self._futures.clear()
         self._lost.clear()
 

@@ -5,10 +5,11 @@ actually separate (8 nodes, 200 jobs, 600 ms):
 
 * **Determinism** -- the merged three-way report is byte-identical
   across process-pool sizes and on the reference timer-wheel calendar
-  (``tests/wheel_calendar.py``).  The predictor policy probes its
-  profiles in-process (``default_predictor``), so this is also the
-  proof that the probe stage doesn't leak host state
-  into sweep results.
+  (``tests/wheel_calendar.py``).  The predictor policy runs the
+  profiling stage itself (``default_predictor``): inside a pool worker
+  every probe runs in that worker, in the main process the probes fan
+  out over forked workers.  So this is also the proof that neither the
+  stage nor its fan-out leaks host state into sweep results.
 * **The headline claim** -- prediction-driven placement beats the
   threshold-Holmes "score" policy on SLO violations on the seed
   workload matrix, while staying within the throughput bar.

@@ -119,7 +119,7 @@ def test_counter_engine_rejects_misshaped_storage():
 
 
 def test_vpi_hub_is_shared_until_params_mismatch():
-    plane = ClusterDataPlane(1, N_LCPUS, N_CORES, N_EVENTS)
+    plane = ClusterDataPlane(1, N_LCPUS, N_EVENTS)
     hub = plane.vpi_hub((0, 1, 2), 1.0, 50.0)
     assert hub is not None
     assert plane.vpi_hub((0, 1, 2), 1.0, 50.0) is hub
@@ -191,7 +191,7 @@ def test_runner_reports_identical_across_planes_and_pools(monkeypatch):
 
 def _pooled_and_private_servers():
     """Two servers over identical counter state: one pooled, one private."""
-    plane = ClusterDataPlane(1, N_LCPUS, N_CORES, N_EVENTS)
+    plane = ClusterDataPlane(1, N_LCPUS, N_EVENTS)
     server_v = Server(
         Environment(),
         config=SMALL_HW,
@@ -328,7 +328,7 @@ def _fake_nodes(n, lc, reserved, dead):
     dead=st.sets(st.integers(0, 4), max_size=2),
 )
 def test_score_vector_bitwise_matches_scalar_score(vpi_vals, usage_vals, dead):
-    plane = ClusterDataPlane(5, N_LCPUS, N_CORES, N_EVENTS)
+    plane = ClusterDataPlane(5, N_LCPUS, N_EVENTS)
     plane.vpi_ema[:] = np.array(vpi_vals).reshape(5, N_LCPUS)
     plane.usage_ema[:] = np.array(usage_vals).reshape(5, N_LCPUS)
     lc, reserved = [0, 1], [0, 1]
@@ -364,7 +364,7 @@ def test_score_vector_bitwise_matches_scalar_score(vpi_vals, usage_vals, dead):
 
 
 def test_usage_hub_off_cohort_row_recomputes_with_its_own_dt():
-    plane = ClusterDataPlane(2, N_LCPUS, N_CORES, N_EVENTS)
+    plane = ClusterDataPlane(2, N_LCPUS, N_EVENTS)
     hub = plane.usage_hub
     hub.register(0, 0.0)
     hub.register(1, 0.0)
@@ -381,7 +381,7 @@ def test_usage_hub_off_cohort_row_recomputes_with_its_own_dt():
 
 
 def test_usage_hub_zero_window_reads_zero():
-    plane = ClusterDataPlane(1, N_LCPUS, N_CORES, N_EVENTS)
+    plane = ClusterDataPlane(1, N_LCPUS, N_EVENTS)
     hub = plane.usage_hub
     hub.register(0, 25.0)
     plane.busy[0] += 5.0
@@ -390,7 +390,7 @@ def test_usage_hub_zero_window_reads_zero():
 
 
 def test_generation_bump_invalidates_same_instant_batch():
-    plane = ClusterDataPlane(2, N_LCPUS, N_CORES, N_EVENTS)
+    plane = ClusterDataPlane(2, N_LCPUS, N_EVENTS)
     hub = plane.usage_hub
     hub.register(0, 0.0)
     hub.register(1, 0.0)

@@ -225,6 +225,23 @@ def test_pool_executor_streams_completions():
         ex.close()
 
 
+def test_finished_pool_sweep_leaves_no_worker_or_pool_thread():
+    """A sweep that ends with nothing in flight joins its pool: no worker
+    process, pool manager thread or queue feeder outlives ``run()``."""
+    import multiprocessing
+    import threading
+
+    children = set(multiprocessing.active_children())
+    threads = set(threading.enumerate())
+    requests = [
+        ExperimentRequest.make("sleep", {"wall_s": 0.0, "tag": f"t{i}"}, seed=i)
+        for i in range(4)
+    ]
+    ExperimentRunner(cache=None, parallel=2, dedupe=False).run(requests)
+    assert set(multiprocessing.active_children()) - children == set()
+    assert [t.name for t in set(threading.enumerate()) - threads] == []
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("budget", [0, 1])
 def test_pool_rebuild_budget_bounds_worker_death_recovery(budget):

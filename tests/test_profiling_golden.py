@@ -18,12 +18,15 @@ deliberately with::
 from __future__ import annotations
 
 import json
+import multiprocessing
 import pathlib
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro.analysis.export import canonical_dumps
-from repro.profiling import run_profile_stage
+from repro.profiling import probe, run_profile_stage
+from repro.profiling.predictor import probe_workers
 from repro.runner import ExperimentRequest, ExperimentRunner
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "profile_seed42.json"
@@ -43,6 +46,48 @@ def test_profile_stage_repeat_is_byte_identical(stage_payload):
     shared-state leakage between probe systems."""
     again = run_profile_stage(seed=42)
     assert canonical_dumps(again) == canonical_dumps(stage_payload)
+
+
+@pytest.fixture(scope="module")
+def fanned_out():
+    """The stage on two forked workers, and the children it left."""
+    before = set(multiprocessing.active_children())
+    payload = run_profile_stage(seed=42, workers=2)
+    return payload, set(multiprocessing.active_children()) - before
+
+
+def test_fanned_out_stage_matches_golden_bytes(fanned_out):
+    payload, _ = fanned_out
+    assert canonical_dumps(payload) == GOLDEN.read_text().rstrip("\n")
+
+
+def test_fanned_out_stage_leaves_no_child(fanned_out):
+    _, left = fanned_out
+    assert left == set()
+
+
+def test_probe_workers_is_one_inside_a_pool_worker():
+    # the runner's pool workers run predictor sweeps: each already
+    # fills a CPU, so the stage runs in the worker itself.
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        assert pool.submit(probe_workers).result(timeout=60) == 1
+
+
+class ProbeFailed(RuntimeError):
+    pass
+
+
+def _failing_probe_system(seed):
+    raise ProbeFailed(f"no probe system for seed {seed}")
+
+
+def test_fanned_out_probe_error_propagates_and_leaves_no_child(monkeypatch):
+    before = set(multiprocessing.active_children())
+    # patched before the pool forks, so every worker inherits it
+    monkeypatch.setattr(probe, "_probe_system", _failing_probe_system)
+    with pytest.raises(ProbeFailed):
+        run_profile_stage(seed=42, workers=2)
+    assert set(multiprocessing.active_children()) - before == set()
 
 
 def test_golden_payload_is_physically_sensible():
