@@ -3,33 +3,36 @@
 from conftest import FAST, report
 
 from repro.analysis import format_table
-from repro.experiments.common import ExperimentScale
-from repro.experiments.fig12_table3_throughput import run_throughput
+from repro.runner import ExperimentRequest, ExperimentRunner
 
 
 def test_table3_throughput(benchmark):
     # jobs take ~1.7 simulated seconds: a longer horizon so several finish
-    scale = ExperimentScale(duration_us=2_500_000.0 if FAST else 4_000_000.0)
-    rows_data = benchmark.pedantic(
-        lambda: run_throughput("redis", "a", scale=scale),
+    request = ExperimentRequest.make("throughput", {
+        "service": "redis", "workload": "a",
+        "duration_us": 2_500_000.0 if FAST else 4_000_000.0,
+    })
+    by = benchmark.pedantic(
+        lambda: ExperimentRunner().run([request]).experiments[
+            request.experiment_id
+        ],
         rounds=1, iterations=1,
     )
     rows = [
-        [r.setting, f"{r.avg_cpu_utilization:.1%}", r.jobs_completed]
-        for r in rows_data
+        [setting, f"{r['avg_cpu_utilization']:.1%}", r["jobs_completed"]]
+        for setting, r in by.items()
     ]
     report("table3_throughput", format_table(
         ["setting", "avg CPU usage", "# finished batch jobs"], rows
     ) + "\n(paper, 1 hour: PerfIso 84.6%/78 jobs, Holmes 75.0%/73, Alone 1.1%/0)")
 
-    by = {r.setting: r for r in rows_data}
     # paper's ordering: PerfIso >= Holmes >> Alone in usage; jobs likewise,
     # with Holmes completing slightly fewer jobs than PerfIso
-    assert by["alone"].jobs_completed == 0
-    assert by["alone"].avg_cpu_utilization < 0.15
+    assert by["alone"]["jobs_completed"] == 0
+    assert by["alone"]["avg_cpu_utilization"] < 0.15
     if not FAST:  # jobs need a few simulated seconds to finish
-        assert by["holmes"].jobs_completed >= 1
-    assert by["perfiso"].jobs_completed >= by["holmes"].jobs_completed - 1
-    assert by["perfiso"].avg_cpu_utilization >= (
-        by["holmes"].avg_cpu_utilization - 0.10
+        assert by["holmes"]["jobs_completed"] >= 1
+    assert by["perfiso"]["jobs_completed"] >= by["holmes"]["jobs_completed"] - 1
+    assert by["perfiso"]["avg_cpu_utilization"] >= (
+        by["holmes"]["avg_cpu_utilization"] - 0.10
     )

@@ -1,8 +1,12 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands map one-to-one onto the experiment drivers so a user can
-regenerate any paper result (or poke at the simulator) without writing
-code:
+Every command but ``list`` runs its experiments as requests
+(:class:`~repro.runner.ExperimentRequest`) on an
+:class:`~repro.runner.ExperimentRunner` and renders its output from the
+cell payloads and experiment aggregates the runner returns, so each
+figure has one implementation, whether one command, a ``run-all`` sweep
+or a benchmark asks for it.  A cell that keeps failing raises
+:class:`~repro.runner.CellExecutionError` once its retry budget is spent.
 
     python -m repro list
     python -m repro colocate redis -w a --setting holmes
@@ -20,12 +24,6 @@ import sys
 
 from repro.analysis import format_table
 from repro.analysis.figures import render_bars, render_cdf, render_series
-
-
-def _scale(args):
-    from repro.experiments.common import ExperimentScale
-
-    return ExperimentScale(duration_us=args.duration * 1e6, seed=args.seed)
 
 
 def _resilience_kwargs(args):
@@ -70,25 +68,22 @@ def _add_resilience_args(p) -> None:
 
 
 def _telemetry_kwargs(args):
-    """ExperimentRunner kwargs (and the telemetry handle) from the
-    shared runner-observability flags.
+    """ExperimentRunner kwargs from the shared runner-observability flags.
 
-    ``--trace-runner PATH`` turns on the wall-clock span plane and
-    writes a Perfetto-loadable trace.json after the run (see
-    :func:`_write_runner_trace`); ``--progress`` turns on the live
-    one-line sweep progress meter on stderr.  Neither changes a report
-    byte -- spans live beside, never inside, the cell payloads.
+    ``--trace-runner PATH`` turns on the wall-clock span plane, whose
+    trace.json :func:`_write_runner_trace` writes after the run;
+    ``--progress`` turns on the live one-line sweep progress meter on
+    stderr.  Neither changes a report byte -- spans live beside, never
+    inside, the cell payloads.
     """
     kwargs = {}
-    tel = None
     if getattr(args, "trace_runner", None):
         from repro.obs import RunnerTelemetry
 
-        tel = RunnerTelemetry()
-        kwargs["telemetry"] = tel
+        kwargs["telemetry"] = RunnerTelemetry()
     if getattr(args, "progress", False):
         kwargs["progress"] = True
-    return kwargs, tel
+    return kwargs
 
 
 def _add_telemetry_args(p) -> None:
@@ -103,12 +98,66 @@ def _add_telemetry_args(p) -> None:
                         "chaos counts)")
 
 
-def _write_runner_trace(args, tel) -> None:
-    if tel is None:
+def _runner(args):
+    """The runner a command runs on, built from the flags it has.
+
+    ``--cache-dir``, ``--parallel``, ``--executor``, the resilience
+    flags and the telemetry flags each configure it where the command
+    has them; otherwise the runner keeps its default (no cache, one
+    in-process worker, the default retry budget, no telemetry).
+    """
+    from repro.runner import ExperimentRunner, ResultCache
+
+    cache_dir = getattr(args, "cache_dir", None)
+    return ExperimentRunner(
+        cache=ResultCache(cache_dir) if cache_dir else None,
+        parallel=getattr(args, "parallel", 1),
+        executor=getattr(args, "executor", None),
+        **_resilience_kwargs(args),
+        **_telemetry_kwargs(args),
+    )
+
+
+def _run(args, *experiments):
+    """Run ``(name, params)`` experiments at ``--seed`` as one sweep.
+
+    Returns the run report and the experiments' aggregates, in order.
+    """
+    from repro.runner import ExperimentRequest
+
+    requests = [
+        ExperimentRequest.make(name, params, args.seed)
+        for name, params in experiments
+    ]
+    report = _runner(args).run(requests)
+    return report, [report.experiments[r.experiment_id] for r in requests]
+
+
+def _write_report(path, report) -> None:
+    """Write a sweep's merged report as canonical JSON: the same seeds
+    and scale give a byte-identical file."""
+    import pathlib
+
+    from repro.analysis.export import canonical_dumps
+
+    out = pathlib.Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(canonical_dumps(report.merged()) + "\n")
+
+
+def _print_cache_stats(report) -> None:
+    if report.cache_stats:
+        cs = report.cache_stats
+        print(f"cache: {cs['hits']} hits, {cs['misses']} misses, "
+              f"{cs['corrupted']} corrupted, {cs['writes']} writes")
+
+
+def _write_runner_trace(args, report) -> None:
+    if report.telemetry is None:  # no --trace-runner
         return
     from repro.obs import write_runner_trace
 
-    write_runner_trace(args.trace_runner, tel.snapshot())
+    write_runner_trace(args.trace_runner, report.telemetry)
     print(f"wrote {args.trace_runner}")
 
 
@@ -134,67 +183,79 @@ def cmd_list(args) -> int:
     return 0
 
 
-def cmd_colocate(args) -> int:
-    from repro.experiments.colocation import run_colocation
+def _colo_params(args) -> dict:
+    return {"service": args.service, "workload": args.workload,
+            "duration_us": args.duration * 1e6}
 
-    res = run_colocation(args.service, args.workload, args.setting,
-                         scale=_scale(args), obs=args.obs)
+
+def _r1(value):
+    """``value`` rounded to 0.1; nan where an empty sample has none."""
+    return float("nan") if value is None else round(value, 1)
+
+
+def cmd_colocate(args) -> int:
+    params = {**_colo_params(args), "setting": args.setting}
+    if args.obs is not None:
+        params["obs"] = args.obs
+    _, (res,) = _run(args, ("colocation", params))
+    lat = res["latency"]
+    q = lat["quantiles"]
     print(format_table(
         ["metric", "value"],
         [
-            ["queries", len(res.recorder)],
-            ["avg latency (us)", round(res.mean_latency, 1)],
-            ["p90 latency (us)", round(res.percentile(90), 1)],
-            ["p99 latency (us)", round(res.p99_latency, 1)],
-            ["CPU utilisation", f"{res.avg_cpu_utilization:.1%}"],
-            ["batch jobs done", res.jobs_completed],
+            ["queries", lat["count"]],
+            ["avg latency (us)", _r1(lat["mean"])],
+            ["p90 latency (us)", _r1(q[90] if q else None)],
+            ["p99 latency (us)", _r1(q[99] if q else None)],
+            ["CPU utilisation", f"{res['avg_cpu_utilization']:.1%}"],
+            ["batch jobs done", res["jobs_completed"]],
         ],
     ))
-    if args.setting == "holmes" and res.holmes_overhead:
-        print(f"holmes overhead: {res.holmes_overhead['cpu_percent']:.1f}% CPU")
+    overhead = res.get("holmes_overhead")  # holmes cells only
+    if overhead:
+        print(f"holmes overhead: {overhead['cpu_percent']:.1f}% CPU")
     print()
-    print(render_series(res.vpi_times, res.vpi_values,
+    trace = res["trace"]
+    print(render_series(trace["vpi_times"], trace["vpi_values"],
                         title="VPI on the LC CPUs over time", threshold=40.0))
-    if res.obs is not None:
+    if res.get("obs") is not None:
         from repro.analysis.obs import format_event_summary
 
         print()
-        print(format_event_summary({"node0": res.obs}))
+        print(format_event_summary({"node0": res["obs"]}))
     return 0
 
 
 def cmd_compare(args) -> int:
-    from repro.experiments.colocation import run_colocation
-
-    results = {}
-    for setting in ("alone", "holmes", "perfiso"):
-        print(f"running {setting} ...", file=sys.stderr)
-        results[setting] = run_colocation(args.service, args.workload,
-                                          setting, scale=_scale(args))
+    params = _colo_params(args)
+    print("running alone, holmes, perfiso ...", file=sys.stderr)
+    # one triple of cells: the runner dedupes them across both experiments
+    _, (cmp, lat) = _run(args, ("compare", params), ("latency", params))
     rows = [
-        [s, round(r.mean_latency, 1), round(r.p99_latency, 1),
-         f"{r.avg_cpu_utilization:.0%}"]
-        for s, r in results.items()
+        [s, _r1(r["mean_us"]), _r1(r["p99_us"]),
+         f"{r['avg_cpu_utilization']:.0%}"]
+        for s, r in cmp["settings"].items()
     ]
     print(format_table(["setting", "avg us", "p99 us", "CPU util"], rows))
     print()
     print(render_cdf(
-        {s: r.recorder.latencies() for s, r in results.items()},
+        {s: r["quantiles"] for s, r in lat.items()},
         title=f"{args.service} workload-{args.workload}: latency CDF",
     ))
-    h, p = results["holmes"], results["perfiso"]
-    print()
-    print(f"holmes vs perfiso: avg -{100 * (1 - h.mean_latency / p.mean_latency):.1f}%"
-          f", p99 -{100 * (1 - h.p99_latency / p.p99_latency):.1f}%")
+    red = cmp["holmes_vs_perfiso"]  # empty when a setting served nothing
+    if red:
+        print()
+        # Holmes's signed change against PerfIso: negative when faster
+        print(f"holmes vs perfiso: avg {-red['mean_pct']:+.1f}%"
+              f", p99 {-red['p99_pct']:+.1f}%")
     return 0
 
 
 def cmd_microbench(args) -> int:
-    from repro.experiments.fig2_microbench import run_fig2
-
-    cases = run_fig2(duration_us=args.duration * 1e6 / 20)
+    _, (res,) = _run(args, ("microbench",
+                            {"duration_us": args.duration * 1e6 / 20}))
     print(render_bars(
-        {c.label: c.mean for c in cases},
+        {c["label"]: c["mean_us"] for c in res["cases"]},
         unit=" us",
         title="Fig 2: mean 1 MB random-read latency by placement",
     ))
@@ -202,31 +263,27 @@ def cmd_microbench(args) -> int:
 
 
 def cmd_metric(args) -> int:
-    from repro.experiments.fig4_table1_hpe import run_hpe_selection
-    from repro.hw.events import by_code
+    from repro.hw.events import by_code, by_name
 
-    res = run_hpe_selection(seed=args.seed)
+    _, (res,) = _run(args, ("hpe", {}))
     rows = [
-        [by_code(code).name, f"0x{code:04X}", f"{corr:+.4f}"]
-        for code, corr in sorted(res.correlations.items(),
+        [by_code(int(code, 16)).name, code, f"{corr:+.4f}"]
+        for code, corr in sorted(res["correlations"].items(),
                                  key=lambda kv: -kv[1])
     ]
     print(format_table(["event", "code", "corr w/ latency"], rows))
-    print(f"selected: {res.selected_event}")
+    print(f"selected: {by_name(res['selected_event'])}")
     return 0
 
 
 def cmd_convergence(args) -> int:
-    from repro.experiments.table4_convergence import run_table4
-
-    results = run_table4(
-        heracles_epoch_us=args.epoch * 1e6,
-        parties_step_us=args.step * 1e6,
-        seed=args.seed,
-    )
+    _, (res,) = _run(args, ("convergence", {
+        "heracles_epoch_us": args.epoch * 1e6,
+        "parties_step_us": args.step * 1e6,
+    }))
     rows = []
-    for name, r in results.items():
-        c = r.convergence_us
+    for name, r in res.items():
+        c = r["convergence_us"]
         rows.append([name, "-" if c is None else
                      (f"{c / 1e6:.1f} s" if c >= 1e5 else f"{c:.0f} us")])
     print(format_table(["approach", "convergence"], rows))
@@ -234,13 +291,13 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_sweep_e(args) -> int:
-    from repro.experiments.fig14_sensitivity import run_sensitivity
-
-    rows_data = run_sensitivity(args.service, scale=_scale(args))
+    _, (res,) = _run(args, ("sensitivity", {
+        "service": args.service, "duration_us": args.duration * 1e6,
+    }))
     rows = [
-        [int(r.e_threshold)] + [f"{r.normalized[k]:.2f}"
-                                for k in ("mean", "p90", "p99")]
-        for r in rows_data
+        # roles are "E=40", "E=50", ...
+        [role.removeprefix("E="), *(f"{n[k]:.2f}" for k in ("mean", "p90", "p99"))]
+        for role, n in res["normalized_to_alone"].items()
     ]
     print(f"{args.service}: latency normalised to Alone")
     print(format_table(["E", "avg", "p90", "p99"], rows))
@@ -248,12 +305,8 @@ def cmd_sweep_e(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    import pathlib
-
     from repro.analysis.cluster import format_cluster_table
-    from repro.analysis.export import canonical_dumps
     from repro.cluster import POLICIES
-    from repro.runner import ExperimentRequest, ExperimentRunner, ResultCache
 
     if args.policy == "all":
         policies = tuple(POLICIES)
@@ -273,28 +326,13 @@ def cmd_cluster(args) -> int:
     sharded = args.shards > 0
     if sharded:
         params["shards"] = args.shards
-        request = ExperimentRequest.make("cluster_shard", params, args.seed)
-    else:
-        request = ExperimentRequest.make("cluster", params, args.seed)
-    cache = ResultCache(args.cache_dir) if args.cache_dir else None
-    tel_kwargs, tel = _telemetry_kwargs(args)
-    runner = ExperimentRunner(
-        cache=cache,
-        parallel=args.parallel,
-        executor=args.executor,
-        **_resilience_kwargs(args),
-        **tel_kwargs,
-    )
     shard_note = f" in {args.shards} shards" if sharded else ""
     print(f"cluster sweep: {args.nodes} nodes, {args.jobs} jobs{shard_note}, "
           f"policies: {', '.join(policies)} ...", file=sys.stderr)
-    report = runner.run([request])
-    aggregate = report.experiments[request.experiment_id]
-
-    path = pathlib.Path(args.output)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # canonical bytes: same seed and scale => byte-identical report file
-    path.write_text(canonical_dumps(report.merged()) + "\n")
+    report, (aggregate,) = _run(
+        args, ("cluster_shard" if sharded else "cluster", params)
+    )
+    _write_report(args.output, report)
 
     if sharded:
         from repro.analysis.cluster import format_sharded_cluster_table
@@ -311,37 +349,21 @@ def cmd_cluster(args) -> int:
                 print(f"node health: {payload.get('policy', cell_id)}")
                 print(format_node_health_table(payload["node_health"]))
     print(f"{report.n_cell_runs} cells computed, {report.wall_s:.1f}s wall")
-    if report.cache_stats:
-        cs = report.cache_stats
-        print(f"cache: {cs['hits']} hits, {cs['misses']} misses, "
-              f"{cs['corrupted']} corrupted, {cs['writes']} writes")
+    _print_cache_stats(report)
     print(f"wrote {args.output}")
-    _write_runner_trace(args, tel)
+    _write_runner_trace(args, report)
     return 0
 
 
 def cmd_profile(args) -> int:
     """Run the profiling stage: per-workload probes + pair model fit."""
-    import pathlib
-
-    from repro.analysis.export import canonical_dumps
-    from repro.runner import ExperimentRequest, ExperimentRunner, ResultCache
-
     params = {}
     if args.iterations is not None:
         params["iterations"] = args.iterations
-    request = ExperimentRequest.make("profile", params, args.seed)
-    cache = ResultCache(args.cache_dir) if args.cache_dir else None
-    runner = ExperimentRunner(cache=cache, parallel=args.parallel)
     print("profiling: probing workload matrix on the 2-core SMT rig ...",
           file=sys.stderr)
-    report = runner.run([request])
-    payload = report.experiments[request.experiment_id]
-
-    path = pathlib.Path(args.output)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # canonical bytes: same seed => byte-identical profile file
-    path.write_text(canonical_dumps(report.merged()) + "\n")
+    report, (payload,) = _run(args, ("profile", params))
+    _write_report(args.output, report)
 
     profiles = payload["profiles"]
     rows = [
@@ -385,11 +407,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_chaos(args) -> int:
-    import pathlib
-
-    from repro.analysis.export import canonical_dumps
     from repro.faults import standard_chaos_plan
-    from repro.runner import ExperimentRequest, ExperimentRunner, ResultCache
 
     plan = standard_chaos_plan(
         seed=args.fault_seed,
@@ -422,19 +440,11 @@ def cmd_chaos(args) -> int:
     }
     if args.obs is not None:
         params["obs"] = args.obs
-    request = ExperimentRequest.make("chaos", params, args.seed)
-    cache = ResultCache(args.cache_dir) if args.cache_dir else None
-    runner = ExperimentRunner(cache=cache, parallel=args.parallel)
     print(f"chaos run: {len(plan.specs)} fault specs (fault seed "
           f"{args.fault_seed}), node + {args.nodes}-node cluster ...",
           file=sys.stderr)
-    report = runner.run([request])
-    agg = report.experiments[request.experiment_id]
-
-    path = pathlib.Path(args.output)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # canonical bytes: same seeds => byte-identical chaos report
-    path.write_text(canonical_dumps(report.merged()) + "\n")
+    report, (agg,) = _run(args, ("chaos", params))
+    _write_report(args.output, report)
 
     node, cl = agg["node"], agg["cluster"]
     batch = cl.get("batch") or {}
@@ -472,13 +482,13 @@ def _cmd_trace_sweep(args) -> int:
     from repro.obs import timeline_from_journal, write_runner_trace
     from repro.runner import SweepJournal
 
-    if not args.journal:
+    if not args.sweep_journal:
         print("trace sweep needs a journal path: "
               "repro trace sweep path/to/journal.jsonl", file=sys.stderr)
         return 2
-    records = SweepJournal.load(args.journal)
+    records = SweepJournal.load(args.sweep_journal)
     if not records:
-        print(f"no records in {args.journal}", file=sys.stderr)
+        print(f"no records in {args.sweep_journal}", file=sys.stderr)
         return 2
     snapshot = timeline_from_journal(records)
     print(format_span_timeline(snapshot))
@@ -498,7 +508,6 @@ def cmd_trace(args) -> int:
 
     from repro.analysis.obs import format_event_summary
     from repro.obs import write_trace_bundle
-    from repro.runner import ExperimentRequest, ExperimentRunner, ResultCache
 
     if args.experiment == "sweep":
         return _cmd_trace_sweep(args)
@@ -546,12 +555,9 @@ def cmd_trace(args) -> int:
             "faults": plan.to_json(),
             "obs": obs_spec,
         }
-    request = ExperimentRequest.make(args.experiment, params, args.seed)
-    cache = ResultCache(args.cache_dir) if args.cache_dir else None
-    runner = ExperimentRunner(cache=cache, parallel=args.parallel)
     print(f"tracing {args.experiment} (obs={obs_spec!r}, "
           f"--parallel {args.parallel}) ...", file=sys.stderr)
-    report = runner.run([request])
+    report, _ = _run(args, (args.experiment, params))
 
     # one exporter *stream* per observed cell.  Stream names come from
     # the stable sorted cell ids, shortened to the cell kind (full ids
@@ -588,7 +594,7 @@ def cmd_trace(args) -> int:
 
 def cmd_run_all(args) -> int:
     from repro.analysis.export import export_result
-    from repro.runner import ExperimentRequest, ExperimentRunner, ResultCache
+    from repro.runner import ExperimentRequest
 
     duration_us = args.duration * 1e6
     requests = []
@@ -603,25 +609,18 @@ def cmd_run_all(args) -> int:
         ExperimentRequest.make("convergence", {}, args.seed),
     ]
 
-    cache = ResultCache(args.cache_dir) if args.cache_dir else None
-    tel_kwargs, tel = _telemetry_kwargs(args)
-    runner = ExperimentRunner(cache=cache, parallel=args.parallel,
-                              **_resilience_kwargs(args), **tel_kwargs)
     print(f"running {len(requests)} experiments "
           f"(--parallel {args.parallel}) ...", file=sys.stderr)
-    report = runner.run(requests)
+    report = _runner(args).run(requests)
 
     out = export_result(report.merged(), args.output)
     rows = [[cid, f"{secs:.2f}"] for cid, secs in report.timings.items()]
     print(format_table(["cell", "compute s"], rows))
-    if report.cache_stats:
-        cs = report.cache_stats
-        print(f"cache: {cs['hits']} hits, {cs['misses']} misses, "
-              f"{cs['corrupted']} corrupted, {cs['writes']} writes")
+    _print_cache_stats(report)
     print(f"{len(report.experiments)} experiments, {len(report.cells)} cells, "
           f"{report.n_cell_runs} computed, {report.wall_s:.1f}s wall")
     print(f"wrote {out}")
-    _write_runner_trace(args, tel)
+    _write_runner_trace(args, report)
     return 0
 
 
@@ -780,7 +779,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="what to trace; 'sweep' replays a runner journal "
                         "(give its path as the next argument) instead of "
                         "running an experiment")
-    p.add_argument("journal", nargs="?", default=None,
+    # read, never written: not the runner's --journal (see _runner)
+    p.add_argument("sweep_journal", nargs="?", default=None,
+                   metavar="journal",
                    help="sweep journal path (trace sweep only)")
     p.add_argument("--service", default="redis",
                    choices=["redis", "memcached", "rocksdb", "wiredtiger"])

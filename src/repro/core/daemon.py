@@ -337,11 +337,11 @@ class Holmes:
                             break
                         continue  # watchdog recovery: abandon this tick
             sample = self.monitor.collect()
-            events_before = len(self.scheduler.events)
+            actions_before = self.scheduler.n_actions
             self.scheduler.tick(sample)
             self.ticks += 1
             self._last_tick_at = self.env.now
-            if len(self.scheduler.events) > events_before:
+            if self.scheduler.n_actions > actions_before:
                 self.active_ticks += 1
             if self.ticks % self._record_every == 0:
                 lc = self.scheduler.lc_cpus

@@ -90,6 +90,9 @@ class HolmesScheduler:
         self.events: list[SchedulerEvent] = []
         #: capped event log so multi-second runs don't grow unboundedly.
         self.max_events = 200_000
+        #: every action taken, counted past the log's cap (the daemon's
+        #: active-tick accounting reads this, not the log's length).
+        self.n_actions = 0
         #: metric threshold (E for VPI mode, E_cps for the ablation mode).
         self.threshold = (
             config.e_threshold
@@ -108,6 +111,7 @@ class HolmesScheduler:
     def _log(self, action: str, detail: str = "",
              lcpu: "int | None" = None, **extra) -> None:
         now = self.system.env.now
+        self.n_actions += 1
         if len(self.events) < self.max_events:
             self.events.append(SchedulerEvent(now, action, detail))
         if self._obs_sched:

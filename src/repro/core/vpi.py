@@ -58,11 +58,6 @@ class VPIReader:
         vpi, _, _ = self.sample_full()
         return vpi
 
-    def sample_with_instructions(self) -> tuple[np.ndarray, np.ndarray]:
-        """(vpi, loads+stores) per lcpu -- used for core-level aggregation."""
-        vpi, ldst, _ = self.sample_full()
-        return vpi, ldst
-
     def sample_full(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(vpi, loads+stores, raw counter delta) per lcpu.
 

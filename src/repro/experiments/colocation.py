@@ -264,17 +264,3 @@ def run_colocation(
         if submitter is not None:
             submitter.stop()
         system.close()
-
-
-def run_three_settings(
-    service_name: str,
-    workload_name: str,
-    scale: Optional[ExperimentScale] = None,
-    **kwargs,
-) -> dict[str, CoLocationResult]:
-    """Run alone/holmes/perfiso with identical seeds and workload."""
-    return {
-        setting: run_colocation(service_name, workload_name, setting,
-                                scale=scale, **kwargs)
-        for setting in SETTINGS
-    }

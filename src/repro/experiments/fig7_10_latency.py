@@ -1,21 +1,10 @@
-"""Figures 7-10: query-latency CDFs per service x workload x setting.
+"""Figures 7-10: which paper figure covers which service, and its workloads.
 
-Thin driver over :mod:`repro.experiments.colocation`: for one service it
-runs every supported workload under Alone / Holmes / PerfIso and reports
-the latency distributions plus the paper's headline reductions
-(Holmes vs PerfIso, average and p99).
+Each figure reads the alone/holmes/perfiso co-location triple of a
+(service, workload): the runner's ``compare`` and ``latency``
+experiments summarise it, and the benchmarks draw the CDFs from
+:func:`~repro.experiments.colocation.run_colocation`'s raw latencies.
 """
-
-from __future__ import annotations
-
-from dataclasses import dataclass, field
-
-from repro.experiments.colocation import (
-    CoLocationResult,
-    SETTINGS,
-    run_colocation,
-)
-from repro.experiments.common import ExperimentScale
 
 #: which paper figure covers which service.
 FIGURE_OF = {"redis": 7, "rocksdb": 8, "wiredtiger": 9, "memcached": 10}
@@ -27,37 +16,3 @@ WORKLOADS_OF = {
     "wiredtiger": ("a", "b", "e"),
     "memcached": ("a", "b"),
 }
-
-
-@dataclass
-class LatencyFigure:
-    service: str
-    figure: int
-    #: results[workload][setting] -> CoLocationResult
-    results: dict[str, dict[str, CoLocationResult]] = field(default_factory=dict)
-
-    def reduction_vs_perfiso(self, workload: str) -> tuple[float, float]:
-        """(avg, p99) latency reduction of Holmes relative to PerfIso, in %."""
-        r = self.results[workload]
-        h, p = r["holmes"], r["perfiso"]
-        avg = 100.0 * (1.0 - h.mean_latency / p.mean_latency)
-        p99 = 100.0 * (1.0 - h.p99_latency / p.p99_latency)
-        return avg, p99
-
-
-def run_latency_figure(
-    service: str,
-    scale: ExperimentScale | None = None,
-    workloads: tuple[str, ...] | None = None,
-    settings: tuple[str, ...] = SETTINGS,
-) -> LatencyFigure:
-    if service not in FIGURE_OF:
-        raise KeyError(f"unknown service {service!r}")
-    workloads = workloads if workloads is not None else WORKLOADS_OF[service]
-    fig = LatencyFigure(service=service, figure=FIGURE_OF[service])
-    for wl in workloads:
-        fig.results[wl] = {
-            setting: run_colocation(service, wl, setting, scale=scale)
-            for setting in settings
-        }
-    return fig

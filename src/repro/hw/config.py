@@ -136,7 +136,3 @@ class HWConfig:
     @property
     def dram_line_latency_cycles(self) -> float:
         return self.dram_line_latency_us * self.freq_cycles_per_us
-
-    def lines_for_bytes(self, nbytes: int) -> int:
-        """Number of cache lines touched by a buffer of ``nbytes``."""
-        return max(1, int(nbytes // self.cache_line_bytes))

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.hw.config import HWConfig
 from repro.hw.contention import ContentionModel, CpuKind, IDLE
-from repro.hw.counters import CounterEngine, CounterSnapshot
+from repro.hw.counters import CounterEngine
 from repro.hw.disk import Disk
 from repro.hw.topology import Topology
 from repro.sim import Environment
@@ -222,6 +222,3 @@ class Server:
     def busy_snapshot(self) -> np.ndarray:
         """Copy of cumulative busy time per logical CPU (microseconds)."""
         return self.busy_us.copy()
-
-    def counter_snapshot(self, lcpu: int) -> CounterSnapshot:
-        return self.counters.snapshot(lcpu)

@@ -15,7 +15,6 @@ import os
 import threading
 
 from repro.profiling.model import CompatibilityModel
-from repro.profiling.probe import WorkloadProfile
 from repro.profiling.stage import load_stage, run_profile_stage
 
 #: effective SMT-pair slots per node the pair costs are spread over
@@ -47,16 +46,6 @@ class PairPredictor:
     def from_payload(cls, payload: dict, lc_weight: float = 1.0):
         profiles, model = load_stage(payload)
         return cls(model, profiles, lc_weight=lc_weight)
-
-    def profile_for(self, name: str) -> WorkloadProfile:
-        fam = job_family(name)
-        try:
-            return self.profiles[fam]
-        except KeyError:
-            raise KeyError(
-                f"no contention profile for workload family {fam!r} "
-                f"(from job {name!r}); known: {sorted(self.profiles)}"
-            ) from None
 
     def knows(self, name: str) -> bool:
         return job_family(name) in self.profiles

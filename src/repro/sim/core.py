@@ -115,10 +115,6 @@ class Event:
         self.env._schedule(self, priority)
         return self
 
-    def defuse(self) -> None:
-        """Mark a failed event as handled so it does not crash the run."""
-        self._defused = True
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = (
             "processed"

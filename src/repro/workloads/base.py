@@ -46,9 +46,6 @@ class LatencyRecorder:
             dtype=np.float64,
         )
 
-    def submit_times(self) -> np.ndarray:
-        return np.asarray(self._submit, dtype=np.float64)
-
     def records(self) -> list[QueryRecord]:
         return [
             QueryRecord(s, l, o)

@@ -64,14 +64,6 @@ class BatchJobSpec:
             comp_cycles=self.comp_cycles,
         )
 
-    def duration_alone_us(self) -> float:
-        """Rough single-task duration with no contention (for sizing)."""
-        mem = self.iterations * self.mem_lines * (
-            self.mem_dram_frac * 0.0854 + (1 - self.mem_dram_frac) * 0.0012
-        )
-        comp = self.iterations * self.comp_cycles / 2400.0
-        return mem + comp
-
 
 #: Spark KMeans (the paper's Fig. 3 batch job): memory-heavy point sweeps
 #: plus distance math.  ~1.7 s per task at the default experiment scale

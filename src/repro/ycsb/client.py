@@ -76,7 +76,3 @@ class YCSBClient:
                     self.submitted += 1
                 else:
                     self.dropped += 1
-
-    def traffic_on_windows(self, t0: float = 0.0) -> list[tuple[float, float]]:
-        """Absolute (start, end) times of the ON phases (for analysis)."""
-        return [(t0 + p.start, t0 + p.end) for p in self.phases if p.on]

@@ -92,8 +92,67 @@ def test_cli_colocate_quick(capsys):
     assert "VPI on the LC CPUs" in out
 
 
+def test_cli_colocate_without_queries_prints_nan(capsys):
+    assert main(["colocate", "redis", "--setting", "alone",
+                 "--duration", "0.00001"]) == 0
+    out = capsys.readouterr().out
+    assert "queries      0" in out
+    assert "avg latency (us)    nan" in out
+    assert "p99 latency (us)    nan" in out
+
+
 def test_cli_convergence_fast(capsys):
     assert main(["convergence", "--epoch", "0.4", "--step", "0.2"]) == 0
     out = capsys.readouterr().out
     assert "holmes" in out and "caladan" in out
     assert "us" in out and "s" in out
+
+
+def test_cli_compare_quick(capsys):
+    assert main(["compare", "redis", "--duration", "0.02"]) == 0
+    out = capsys.readouterr().out
+    for setting in ("alone", "holmes", "perfiso"):
+        assert setting in out
+    assert "redis workload-a: latency CDF" in out
+    assert "*=alone   o=holmes   +=perfiso" in out
+    assert "holmes vs perfiso: avg -" in out
+    assert "--" not in out.splitlines()[-1]
+
+
+def test_cli_compare_prints_signed_change(monkeypatch, capsys):
+    """A Holmes slower than PerfIso prints a positive change, not ``--``."""
+    import repro.cli
+
+    settings = {
+        s: {"mean_us": 60.0, "p99_us": 120.0, "avg_cpu_utilization": 0.5}
+        for s in ("alone", "holmes", "perfiso")
+    }
+    compare = {
+        "settings": settings,
+        "holmes_vs_perfiso": {"mean_pct": -5.0, "p99_pct": 12.5},
+    }
+    latency = {s: {"quantiles": [50.0, 60.0, 70.0]} for s in settings}
+    monkeypatch.setattr(repro.cli, "_run",
+                        lambda args, *experiments: (None, [compare, latency]))
+    assert main(["compare", "redis"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == "holmes vs perfiso: avg +5.0%, p99 -12.5%"
+
+
+def test_cli_sweep_e_quick(capsys):
+    assert main(["sweep-e", "redis", "--duration", "0.02"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "redis: latency normalised to Alone"
+    assert lines[1].split() == ["E", "avg", "p90", "p99"]
+    rows = [line.split() for line in lines[3:]]
+    assert [r[0] for r in rows] == ["40", "50", "60", "70", "80"]
+    assert all(float(v) > 0 for r in rows for v in r[1:])
+
+
+def test_cli_microbench_quick(capsys):
+    assert main(["microbench", "--duration", "0.1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "Fig 2: mean 1 MB random-read latency by placement"
+    assert len(lines) == 7  # title + the six placements
+    assert "2 threads on 2 lcpus of the same core" in lines[3]
+    assert all(line.endswith(" us") for line in lines[1:])

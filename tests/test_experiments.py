@@ -1,4 +1,5 @@
-"""Integration tests for the experiment drivers (short horizons).
+"""Integration tests for the experiment drivers and the runner's figure
+experiments (short horizons).
 
 These validate the *shape* of each paper result at test-friendly scale;
 the full-scale numbers live in benchmarks/ and EXPERIMENTS.md.
@@ -11,17 +12,25 @@ from repro.experiments.colocation import run_colocation
 from repro.experiments.fig2_microbench import run_fig2
 from repro.experiments.fig3_redis import run_fig3_case
 from repro.experiments.fig4_table1_hpe import run_hpe_selection
-from repro.experiments.fig7_10_latency import (
-    FIGURE_OF,
-    WORKLOADS_OF,
-    run_latency_figure,
-)
-from repro.experiments.fig11_slo import slo_rows
-from repro.experiments.fig12_table3_throughput import run_throughput
-from repro.experiments.fig14_sensitivity import run_sensitivity
+from repro.experiments.fig7_10_latency import WORKLOADS_OF
 from repro.experiments.table4_convergence import measure_convergence
+from repro.runner import ExperimentRequest, ExperimentRunner, ResultCache
 
 QUICK = ExperimentScale(duration_us=400_000.0)
+
+
+@pytest.fixture(scope="module")
+def runner(tmp_path_factory):
+    """One in-process runner; its cache runs the redis triple once."""
+    return ExperimentRunner(cache=ResultCache(tmp_path_factory.mktemp("cells")))
+
+
+def _aggregate(runner, name, **params):
+    """One figure experiment's aggregate at the QUICK horizon."""
+    request = ExperimentRequest.make(
+        name, {"duration_us": QUICK.duration_us, **params}
+    )
+    return runner.run([request]).experiments[request.experiment_id]
 
 
 def test_service_rate_lookup():
@@ -93,45 +102,41 @@ def test_colocation_three_way_ordering_redis():
     assert 0.01 < h.holmes_overhead["cpu_fraction"] < 0.035
 
 
-def test_latency_figure_driver():
-    fig = run_latency_figure("memcached", scale=QUICK, workloads=("a",))
-    assert fig.figure == FIGURE_OF["memcached"]
-    avg_red, p99_red = fig.reduction_vs_perfiso("a")
-    assert avg_red > 0
-    assert p99_red > 0
+def test_latency_figure_driver(runner):
+    red = _aggregate(runner, "compare", service="memcached")["holmes_vs_perfiso"]
+    assert red["mean_pct"] > 0
+    assert red["p99_pct"] > 0
 
 
 def test_memcached_has_no_workload_e():
     assert "e" not in WORKLOADS_OF["memcached"]
 
 
-def test_slo_rows_shape():
-    fig = run_latency_figure("redis", scale=QUICK, workloads=("a",))
-    rows = slo_rows(fig)
-    assert len(rows) == 1
-    row = rows[0]
+def test_slo_rows_shape(runner):
+    ratios = _aggregate(runner, "slo", service="redis")["violation_ratios"]
     # Alone violates ~10% by construction (SLO = its own p90)
-    assert row.ratios["alone"] == pytest.approx(0.10, abs=0.02)
-    assert row.ratios["perfiso"] > row.ratios["alone"]
-    assert row.ratios["holmes"] < row.ratios["perfiso"]
+    assert ratios["alone"] == pytest.approx(0.10, abs=0.02)
+    assert ratios["perfiso"] > ratios["alone"]
+    assert ratios["holmes"] < ratios["perfiso"]
 
 
-def test_throughput_rows():
-    rows = run_throughput("redis", "a", scale=QUICK)
-    by = {r.setting: r for r in rows}
-    assert by["alone"].jobs_completed == 0
-    assert by["alone"].avg_cpu_utilization < 0.15
+def test_throughput_rows(runner):
+    by = _aggregate(runner, "throughput", service="redis")
+    assert by["alone"]["jobs_completed"] == 0
+    assert by["alone"]["avg_cpu_utilization"] < 0.15
     for s in ("holmes", "perfiso"):
-        assert by[s].avg_cpu_utilization > 0.3
-    assert by["perfiso"].avg_cpu_utilization >= by["holmes"].avg_cpu_utilization - 0.10
+        assert by[s]["avg_cpu_utilization"] > 0.3
+    assert by["perfiso"]["avg_cpu_utilization"] >= (
+        by["holmes"]["avg_cpu_utilization"] - 0.10
+    )
 
 
-def test_sensitivity_e40_close_to_alone():
-    rows = run_sensitivity("redis", scale=QUICK, e_values=(40.0, 80.0))
-    by_e = {r.e_threshold: r for r in rows}
-    assert by_e[40.0].normalized["mean"] < 1.3
+def test_sensitivity_e40_close_to_alone(runner):
+    agg = _aggregate(runner, "sensitivity", service="redis", e_values=(40.0, 80.0))
+    by_e = agg["normalized_to_alone"]
+    assert by_e["E=40"]["mean"] < 1.3
     # E=80 never deallocates: latency degrades beyond the E=40 setting
-    assert by_e[80.0].normalized["p99"] > by_e[40.0].normalized["p99"]
+    assert by_e["E=80"]["p99"] > by_e["E=40"]["p99"]
 
 
 def test_convergence_holmes_and_caladan():

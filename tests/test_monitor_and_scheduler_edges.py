@@ -145,6 +145,28 @@ def test_event_log_is_capped():
     assert len(holmes.scheduler.events) == 10
 
 
+def test_active_ticks_counted_past_the_event_log_cap(monkeypatch):
+    """A full action log must not hide acting ticks from the Section 6.6
+    overhead estimate."""
+    from repro.core.scheduler import HolmesScheduler
+    from repro.experiments.colocation import run_colocation
+    from repro.experiments.common import ExperimentScale
+
+    scale = ExperimentScale(duration_us=30_000.0)
+    uncapped = run_colocation("redis", "a", "holmes", scale=scale)
+    init = HolmesScheduler.__init__
+
+    def capped_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.max_events = 3
+
+    monkeypatch.setattr(HolmesScheduler, "__init__", capped_init)
+    capped = run_colocation("redis", "a", "holmes", scale=scale)
+    assert uncapped.holmes_overhead["active_tick_fraction"] > 0
+    for key in ("ticks", "active_tick_fraction", "cpu_fraction"):
+        assert capped.holmes_overhead[key] == uncapped.holmes_overhead[key], key
+
+
 def test_lc_allocation_follows_expansion():
     """Threads of a registered service track the LC set as it grows."""
     system = small_system()
